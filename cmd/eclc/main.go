@@ -165,11 +165,19 @@ func main() {
 
 	failed := false
 	vetFindings := 0
-	seenFindings := map[string]bool{} // dedup file-scope findings across a file's modules
+	seenFindings := map[string]bool{} // dedup findings repeated across modules
+	fileDone := map[string]bool{}     // files whose design-level findings are printed
 	writtenBy := map[string]string{}  // output path -> source file
 	for i := range results {
 		res := &results[i]
-		for _, f := range append(append([]analyze.Finding(nil), res.Findings...), res.FileFindings...) {
+		vet := res.Findings
+		// Every module of a file carries the file's design-level
+		// findings: print those once per file.
+		if len(res.FileFindings) > 0 && !fileDone[res.Path] {
+			fileDone[res.Path] = true
+			vet = append(append([]analyze.Finding(nil), vet...), res.FileFindings...)
+		}
+		for _, f := range vet {
 			line := f.String()
 			if seenFindings[line] {
 				continue

@@ -214,3 +214,40 @@ func TestBatchMalformedFileDiagnostics(t *testing.T) {
 		t.Errorf("good file not compiled despite per-file failure: %v", err)
 	}
 }
+
+// TestVetPrintsFileFindingsOnce runs `eclc -all -vet` over files whose
+// design-level findings every module carries: each finding is printed
+// once, under the module the analyzer anchored it to.
+func TestVetPrintsFileFindingsOnce(t *testing.T) {
+	exe := buildEclc(t)
+	srcDir, outDir := t.TempDir(), t.TempDir()
+	seeds := filepath.Join("..", "..", "internal", "analyze", "testdata", "vet")
+	var want []string
+	for _, name := range []string{"ecl040_undriven_signal", "ecl041_unobserved_signal"} {
+		src, err := os.ReadFile(filepath.Join(seeds, name+".ecl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(srcDir, name+".ecl"), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		golden, err := os.ReadFile(filepath.Join(seeds, name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, "eclc: vet: "+filepath.Join(srcDir, strings.TrimSpace(string(golden))))
+	}
+	out, _ := exec.Command(exe, "-all", "-vet", "-no-disk-cache", "-o", outDir, srcDir).CombinedOutput()
+	lines := strings.Split(string(out), "\n")
+	for _, w := range want {
+		n := 0
+		for _, l := range lines {
+			if l == w {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%q printed %d times, want once:\n%s", w, n, out)
+		}
+	}
+}

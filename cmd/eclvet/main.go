@@ -148,7 +148,8 @@ func main() {
 
 	failed := false
 	var findings []analyze.Finding
-	seen := map[string]bool{} // dedup file-scope findings repeated per module
+	seen := map[string]bool{} // dedup findings repeated across modules
+	fileDone := map[string]bool{}
 	for i := range results {
 		res := &results[i]
 		if res.Failed() {
@@ -161,10 +162,13 @@ func main() {
 			}
 			continue
 		}
-		// Module findings plus the file's design-level findings; the
-		// latter repeat for every module of the file and dedup away.
+		// Module findings plus the file's design-level findings, which
+		// every module of the file carries: merge those once per file.
 		merged := analyze.Filter(res.Findings, keep)
-		merged = append(merged, analyze.Filter(res.FileFindings, keep)...)
+		if len(res.FileFindings) > 0 && !fileDone[res.Path] {
+			fileDone[res.Path] = true
+			merged = append(merged, analyze.Filter(res.FileFindings, keep)...)
+		}
 		for _, f := range analyze.FilterSeverity(merged, *severity) {
 			if line := f.String(); !seen[line] {
 				seen[line] = true

@@ -152,36 +152,13 @@ func (p *pass) unusedVars() {
 
 // unusedFuncs is ECL003: a data function (with a body) that no module
 // in the file can reach, directly or through other data functions.
+// Reachability is a per-file fact sem records once (FuncInfo.Reached),
+// seeded from every module body in the file, not just the analyzed
+// module: a helper used only by a sibling module is not dead.
 func (p *pass) unusedFuncs() {
-	info := p.design.Lowered.Info
-	reached := make(map[*sem.FuncInfo]bool)
-	var frontier []*sem.FuncInfo
-	mark := func(n ast.Node) {
-		if id, ok := n.(*ast.Ident); ok {
-			if fi, ok := info.Uses[id].(*sem.FuncInfo); ok && !reached[fi] {
-				reached[fi] = true
-				frontier = append(frontier, fi)
-			}
-		}
-	}
-	// Seed from every module body in the file (not just the analyzed
-	// module): a helper used only by a sibling module is not dead.
-	for _, mi := range info.Modules {
-		if mi.Decl != nil {
-			walkStmt(mi.Decl.Body, mark)
-		}
-	}
-	// Close over function-to-function calls.
-	for len(frontier) > 0 {
-		fi := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		if fi.Decl != nil && fi.Decl.Body != nil {
-			walkStmt(fi.Decl.Body, mark)
-		}
-	}
 	var dead []*sem.FuncInfo
-	for _, fi := range info.Funcs {
-		if !reached[fi] && fi.Decl != nil && fi.Decl.Body != nil {
+	for _, fi := range p.design.Lowered.Info.Funcs {
+		if !fi.Reached && fi.Decl != nil && fi.Decl.Body != nil {
 			dead = append(dead, fi)
 		}
 	}

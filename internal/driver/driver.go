@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -889,35 +888,25 @@ func (d *Driver) entry(key string) *cacheEntry {
 const cacheKeyGeneration = 1
 
 // cacheKey fingerprints everything that determines a compiled design
-// and its diagnostics: the source text, the selected module, the
-// pipeline options — and the path, because diagnostics and AST
+// and its diagnostics. It chains from the parse phase's key, which
+// already covers the source text, the path (diagnostics and AST
 // positions carry the file name, so identical text under two paths
-// must not share an entry.
+// must not share an entry) and the preprocessor configuration, and
+// adds the selected module and the pipeline options. Every field is
+// length-prefixed.
 func cacheKey(path, src, module string, opts core.Options) string {
 	h := sha256.New()
 	// Salt with the artifact-schema generation: bump it when emitted
 	// artifact formats change incompatibly, so stale persistent
 	// entries from older builds read as misses.
-	fmt.Fprintf(h, "gen:%d\x00", cacheKeyGeneration)
-	fmt.Fprintf(h, "path:%s", path)
-	fmt.Fprintf(h, "\x00src:%d:", len(src))
-	h.Write([]byte(src))
-	fmt.Fprintf(h, "\x00mod:%s\x00pol:%d\x00min:%t", module, opts.Policy, opts.Minimize)
-	fmt.Fprintf(h, "\x00cmp:%d:%d:%d",
-		opts.Compile.MaxStates, opts.Compile.MaxRunsPerState, opts.Compile.MaxDecisionsPerRun)
-	writeSortedMap(h, "def", opts.Defines)
-	writeSortedMap(h, "inc", opts.Includes)
+	fmt.Fprintf(h, "gen:%d", cacheKeyGeneration)
+	for _, part := range []string{
+		pipeline.KeyParse(path, src, opts),
+		module,
+		fmt.Sprintf("pol:%d:min:%t", opts.Policy, opts.Minimize),
+		fmt.Sprintf("cmp:%d:%d:%d", opts.Compile.MaxStates, opts.Compile.MaxRunsPerState, opts.Compile.MaxDecisionsPerRun),
+	} {
+		fmt.Fprintf(h, "\x00%d:%s", len(part), part)
+	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-func writeSortedMap(h interface{ Write([]byte) (int, error) }, tag string, m map[string]string) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Fprintf(h, "\x00%s:%d", tag, len(keys))
-	for _, k := range keys {
-		fmt.Fprintf(h, "\x00%s\x01%s", k, m[k])
-	}
 }

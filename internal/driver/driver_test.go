@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/lower"
 	"repro/internal/paperex"
 	"repro/internal/pipeline"
 )
@@ -165,6 +166,42 @@ func TestCacheIsPathAware(t *testing.T) {
 	}
 	if got := b.Diags[0].Pos; !strings.HasPrefix(got, "b.ecl:") {
 		t.Errorf("b.ecl diagnostic position %q", got)
+	}
+}
+
+// TestCacheKeyFields pins the design key's fields beyond the parse
+// key: a different module, policy, minimize setting or compile budget
+// must each key a different entry, and equal content under a distinct
+// string the same one.
+func TestCacheKeyFields(t *testing.T) {
+	src := paperex.Stack
+	opts := core.Options{Defines: map[string]string{"N": "1"}}
+	base := cacheKey("stack.ecl", src, "toplevel", opts)
+	if got := cacheKey("stack.ecl", strings.Clone(src), "toplevel", opts); got != base {
+		t.Errorf("equal source in a distinct string keyed %s, want %s", got, base)
+	}
+	with := func(f func(*core.Options)) core.Options {
+		o := opts
+		f(&o)
+		return o
+	}
+	variants := map[string]string{
+		"path":      cacheKey("other.ecl", src, "toplevel", opts),
+		"source":    cacheKey("stack.ecl", src+"\n", "toplevel", opts),
+		"define":    cacheKey("stack.ecl", src, "toplevel", core.Options{Defines: map[string]string{"N": "2"}}),
+		"module":    cacheKey("stack.ecl", src, "checkcrc", opts),
+		"policy":    cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Policy = lower.MinimalReactive })),
+		"minimize":  cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Minimize = true })),
+		"states":    cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Compile.MaxStates = 7 })),
+		"runs":      cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Compile.MaxRunsPerState = 7 })),
+		"decisions": cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Compile.MaxDecisionsPerRun = 7 })),
+	}
+	seen := map[string]string{base: "base"}
+	for what, key := range variants {
+		if prev, dup := seen[key]; dup {
+			t.Errorf("changing the %s keys the same as %s", what, prev)
+		}
+		seen[key] = what
 	}
 }
 

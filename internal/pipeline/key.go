@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"sort"
+	"sync"
 
 	"repro/internal/analyze"
 	"repro/internal/ast"
@@ -47,16 +48,44 @@ func hmap(h hash.Hash, tag string, m map[string]string) {
 	}
 }
 
-// KeyParse fingerprints the parse phase: the source bytes, the path
-// (diagnostics and positions carry it), and the preprocessor
-// configuration.
+// KeyParse fingerprints the parse phase: the source bytes (by SHA-256
+// digest), the path (diagnostics and positions carry it), and the
+// preprocessor configuration.
 func KeyParse(path, src string, opts core.Options) string {
 	h := fph(PhaseParse)
 	hpart(h, path)
-	hpart(h, src)
+	sum := sourceDigest(src)
+	hpart(h, string(sum[:]))
 	hmap(h, "def", opts.Defines)
 	hmap(h, "inc", opts.Includes)
 	return hsum(h)
+}
+
+// lastSource memoizes the digest of the most recently keyed source. A
+// batch keys every module of a file with the same string, and string
+// equality returns at once when both sides share a backing array, so
+// each file is hashed once rather than once per module.
+var lastSource struct {
+	sync.Mutex
+	src    string
+	digest [sha256.Size]byte
+	ok     bool
+}
+
+// sourceDigest returns the SHA-256 digest of src.
+func sourceDigest(src string) [sha256.Size]byte {
+	lastSource.Lock()
+	if lastSource.ok && lastSource.src == src {
+		sum := lastSource.digest
+		lastSource.Unlock()
+		return sum
+	}
+	lastSource.Unlock()
+	sum := sha256.Sum256([]byte(src))
+	lastSource.Lock()
+	lastSource.src, lastSource.digest, lastSource.ok = src, sum, true
+	lastSource.Unlock()
+	return sum
 }
 
 // KeySem chains from parse: semantic analysis has no options of its

@@ -48,6 +48,10 @@ type FuncInfo struct {
 	Ret    ctypes.Type
 	Params []*VarInfo
 	Decl   *ast.FuncDecl
+	// Reached reports that some module body of the file references the
+	// function, directly or through other functions' bodies. Analyze
+	// records it once per file.
+	Reached bool
 }
 
 // ConstInfo is an enum constant.
@@ -217,6 +221,7 @@ func Analyze(f *ast.File, diags *source.DiagList) *Info {
 			TypeOfExpr: make(map[ast.TypeExpr]ctypes.Type),
 		},
 		diags: diags,
+		calls: make(map[*FuncInfo][]*FuncInfo),
 	}
 	a.run(f)
 	return a.info
@@ -225,6 +230,10 @@ func Analyze(f *ast.File, diags *source.DiagList) *Info {
 type analyzer struct {
 	info  *Info
 	diags *source.DiagList
+
+	// calls lists the functions each function body references, for
+	// closing FuncInfo.Reached over function-to-function uses.
+	calls map[*FuncInfo][]*FuncInfo
 
 	// Per-module state.
 	mod      *ModuleInfo
@@ -270,6 +279,7 @@ func (a *analyzer) run(f *ast.File) {
 			a.checkModuleBody(d)
 		}
 	}
+	a.closeReached()
 	a.checkInstantiationGraph()
 }
 
@@ -702,6 +712,39 @@ func (a *analyzer) checkFuncBody(d *ast.FuncDecl) {
 	a.fn = nil
 }
 
+// useFunc records that the body being checked references fi: a module
+// body reaches it outright, a function body adds a use that
+// closeReached follows.
+func (a *analyzer) useFunc(fi *FuncInfo) {
+	switch {
+	case a.mod != nil:
+		fi.Reached = true
+	case a.fn != nil:
+		a.calls[a.fn] = append(a.calls[a.fn], fi)
+	}
+}
+
+// closeReached extends FuncInfo.Reached from the functions module
+// bodies reference to everything their bodies reference in turn.
+func (a *analyzer) closeReached() {
+	var frontier []*FuncInfo
+	for _, fi := range a.info.Funcs {
+		if fi.Reached {
+			frontier = append(frontier, fi)
+		}
+	}
+	for len(frontier) > 0 {
+		fi := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		for _, callee := range a.calls[fi] {
+			if !callee.Reached {
+				callee.Reached = true
+				frontier = append(frontier, callee)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Module bodies
 
@@ -1006,6 +1049,7 @@ func (a *analyzer) checkExprUncached(e ast.Expr) ctypes.Type {
 		case *ConstInfo:
 			return ctypes.Int
 		case *FuncInfo:
+			a.useFunc(obj)
 			a.errorf(e.Pos(), "function %q used as a value", e.Name)
 			return ctypes.Int
 		case *ModuleRef:
@@ -1246,6 +1290,7 @@ func (a *analyzer) checkCall(e *ast.Call) ctypes.Type {
 	switch obj := obj.(type) {
 	case *FuncInfo:
 		a.info.Uses[e.Fun] = obj
+		a.useFunc(obj)
 		if len(e.Args) != len(obj.Params) {
 			a.errorf(e.Pos(), "function %q expects %d arguments, got %d", obj.Name, len(obj.Params), len(e.Args))
 		}

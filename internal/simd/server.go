@@ -322,12 +322,11 @@ func (d *Daemon) touch(id string) (*record, error) {
 }
 
 // ensureCapacity makes room for n new resident machines, evicting the
-// least recently touched residents until the bound holds. A burst of
-// concurrent opens can transiently overshoot the bound (admission is
-// not globally serialized); each admission keeps evicting until its
-// own observation fits, so the population converges back under the
-// limit. Without a store eviction is impossible and the bound refuses
-// growth instead.
+// least recently touched residents until the bound holds. Admissions
+// call it before compiling (n = 1) and again once the new machine is
+// resident (n = 0, see admit), so a burst of concurrent opens ends
+// back under the limit. Without a store eviction is impossible and the
+// bound refuses growth instead.
 func (d *Daemon) ensureCapacity(n int) error {
 	// skip holds residents that failed to evict and are still present
 	// — backends without portable snapshots — so the victim scan does
@@ -361,6 +360,28 @@ func (d *Daemon) ensureCapacity(n int) error {
 		}
 	}
 	return nil
+}
+
+// admit registers a machine just opened or forked and enforces the
+// resident bound again, now that the machine counts: concurrent
+// admissions all pass the check made before compiling while none of
+// them is resident yet. The returned info is captured first, because a
+// concurrent admission may park the new session straight away. Without
+// a store, or with only machines that cannot be parked, the bound
+// cannot be restored here; the next admission's first check refuses
+// instead.
+func (d *Daemon) admit(rec *record) (MachineInfo, error) {
+	info, err := d.machineInfo(rec.id)
+	if err != nil {
+		return MachineInfo{}, err
+	}
+	d.mu.Lock()
+	d.recs[rec.id] = rec
+	d.mu.Unlock()
+	if err := d.ensureCapacity(0); err != nil {
+		d.cfg.Logf("simd: admit %s: %v", rec.id, err)
+	}
+	return info, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -412,12 +433,13 @@ func (d *Daemon) open(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	rec := &record{id: id, backend: backend, req: breq, lastTouch: time.Now()}
-	d.mu.Lock()
-	d.recs[id] = rec
-	d.mu.Unlock()
+	info, err := d.admit(&record{id: id, backend: backend, req: breq, lastTouch: time.Now()})
+	if err != nil {
+		http.Error(w, err.Error(), statusFor(err))
+		return
+	}
 	d.opens.Add(1)
-	d.writeInfo(w, http.StatusCreated, id)
+	httpjson.Write(w, http.StatusCreated, info)
 }
 
 func (d *Daemon) list(w http.ResponseWriter, r *http.Request) {
@@ -453,17 +475,21 @@ func (d *Daemon) info(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	d.writeInfo(w, http.StatusOK, id)
-}
-
-// writeInfo responds with a resident machine's MachineInfo.
-func (d *Daemon) writeInfo(w http.ResponseWriter, status int, id string) {
-	info, err := d.session.Info(id)
+	mi, err := d.machineInfo(id)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	httpjson.Write(w, status, MachineInfo{
+	httpjson.Write(w, http.StatusOK, mi)
+}
+
+// machineInfo describes a resident machine.
+func (d *Daemon) machineInfo(id string) (MachineInfo, error) {
+	info, err := d.session.Info(id)
+	if err != nil {
+		return MachineInfo{}, err
+	}
+	return MachineInfo{
 		ID:         info.ID,
 		Module:     info.Module,
 		Backend:    info.Backend,
@@ -471,7 +497,7 @@ func (d *Daemon) writeInfo(w http.ResponseWriter, status int, id string) {
 		Terminated: info.Terminated,
 		Inputs:     signalInfos(info.Inputs),
 		Outputs:    signalInfos(info.Outputs),
-	})
+	}, nil
 }
 
 func (d *Daemon) close(w http.ResponseWriter, r *http.Request) {
@@ -551,12 +577,13 @@ func (d *Daemon) fork(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	child := &record{id: dst, backend: rec.backend, req: rec.req, lastTouch: time.Now()}
-	d.mu.Lock()
-	d.recs[dst] = child
-	d.mu.Unlock()
+	info, err := d.admit(&record{id: dst, backend: rec.backend, req: rec.req, lastTouch: time.Now()})
+	if err != nil {
+		http.Error(w, err.Error(), statusFor(err))
+		return
+	}
 	d.forks.Add(1)
-	d.writeInfo(w, http.StatusCreated, dst)
+	httpjson.Write(w, http.StatusCreated, info)
 }
 
 func (d *Daemon) reset(w http.ResponseWriter, r *http.Request) {

@@ -427,6 +427,59 @@ func TestDaemonMaxSessionsLRU(t *testing.T) {
 	}
 }
 
+// TestDaemonConcurrentOpensKeepBound opens n sessions at once against
+// a k-session bound. Every admission passes the check made before
+// compiling while nothing is resident yet, so the bound must be
+// enforced again once each new machine counts: at most k stay
+// resident, the rest are parked, and every session still steps.
+func TestDaemonConcurrentOpensKeepBound(t *testing.T) {
+	const n, k = 24, 4
+	c, daemon := testDaemon(t, func(cfg *Config) {
+		cfg.MaxSessions = k
+	})
+	ids := make([]string, n)
+	errs := make(chan error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			info, err := c.Open(OpenRequest{Path: "stack.ecl", Source: paperex.Stack, Module: "toplevel"})
+			if err != nil {
+				errs <- err
+				return
+			}
+			ids[i] = info.ID
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := daemon.session.Len(); got > k {
+		t.Errorf("%d sessions resident after %d concurrent opens, want at most %d", got, n, k)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Evictions < n-k {
+		t.Errorf("%d evictions after %d concurrent opens against a bound of %d, want at least %d", st.Evictions, n, k, n-k)
+	}
+	for _, id := range ids {
+		if _, err := c.StepEvents(id, []map[string]string{nil, {"in_byte": EncodeIntValue(1, 7)}}); err != nil {
+			t.Errorf("session %s: %v", id, err)
+		}
+	}
+	if st, err := c.Stats(); err != nil || st.Errors != 0 {
+		t.Errorf("stats after stepping = %+v (%v), want no errors", st, err)
+	}
+}
+
 // TestDaemonConcurrentSessions hammers many machines from concurrent
 // clients (run under -race).
 func TestDaemonConcurrentSessions(t *testing.T) {
