@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ctypes"
 	"repro/internal/cval"
 	"repro/internal/driver"
 	"repro/internal/efsm"
@@ -289,46 +290,190 @@ func TestConformanceGeneratedGo(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			dir := t.TempDir()
-			files := map[string]string{
-				"go.mod":     "module genconf\n\ngo 1.24\n",
-				"machine.go": res.Artifacts[driver.TargetGo],
-				"main.go":    goHarness,
-			}
-			for name, text := range files {
-				if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o666); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var stdin bytes.Buffer
-			if err := want.Encode(&stdin); err != nil {
-				t.Fatal(err)
-			}
-			cmd := osexec.Command(goTool, "run", ".")
-			cmd.Dir = dir
-			cmd.Stdin = &stdin
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout = &stdout
-			cmd.Stderr = &stderr
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("go run: %v\n%s", err, stderr.String())
-			}
-
-			got := exec.NewTrace(tc.module, "gen-go")
-			for _, line := range strings.Split(stdout.String(), "\n") {
-				line = strings.TrimSpace(line)
-				if line == "" {
-					continue
-				}
-				var ev exec.Event
-				if err := json.Unmarshal([]byte(line), &ev); err != nil {
-					t.Fatalf("harness output %q: %v", line, err)
-				}
-				got.Events = append(got.Events, ev)
-			}
+			got := runGeneratedGo(t, goTool, tc.module, res.Artifacts[driver.TargetGo], want)
 			if err := exec.Diff(want, got); err != nil {
 				t.Errorf("%s (interp vs generated Go): %v", tc.module, err)
 			}
 		})
+	}
+}
+
+// runGeneratedGo compiles a module's generated Go next to goHarness,
+// feeds it want's inputs, and returns the trace it observes.
+func runGeneratedGo(t *testing.T, goTool, module, machineGo string, want *exec.Trace) *exec.Trace {
+	t.Helper()
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":     "module genconf\n\ngo 1.24\n",
+		"machine.go": machineGo,
+		"main.go":    goHarness,
+	}
+	for name, text := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdin bytes.Buffer
+	if err := want.Encode(&stdin); err != nil {
+		t.Fatal(err)
+	}
+	cmd := osexec.Command(goTool, "run", ".")
+	cmd.Dir = dir
+	cmd.Stdin = &stdin
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("go run: %v\n%s", err, stderr.String())
+	}
+
+	got := exec.NewTrace(module, "gen-go")
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" {
+			continue
+		}
+		var ev exec.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("harness output %q: %v", line, err)
+		}
+		got.Events = append(got.Events, ev)
+	}
+	return got
+}
+
+// switchSemanticsSrc exercises C switch dispatch where a top-to-bottom
+// scan goes wrong: a default placed before a matching case (pick, and
+// the reactive switch in the module body), fallthrough out of a
+// non-empty clause and through empty ones, a default sharing its body
+// with the labels around it (fall), and both inside a data loop the
+// splitter extracts as a data function.
+const switchSemanticsSrc = `
+int pick(int v)
+{
+    int r = 0;
+    switch (v) {
+    default:
+        r = 9;
+        break;
+    case 1:
+        r = 1;
+        break;
+    }
+    return r;
+}
+
+int fall(int v)
+{
+    int q = 0;
+    switch (v) {
+    case 2:
+        q = 2;
+    case 3:
+        q = q + 30;
+        break;
+    case 4:
+    default:
+    case 5:
+        q = q + 500;
+    }
+    return q;
+}
+
+module swsem (input int v, output int a, output int b, output int c,
+              output int d)
+{
+    int x;
+    int y;
+    int k;
+
+    while (1) {
+        await (v);
+        switch (v & 3) {
+        default:
+            x = 9;
+            break;
+        case 1:
+            x = 1;
+            break;
+        }
+        y = 0;
+        for (k = 0; k < 2; k++) {
+            switch (v & 3) {
+            default:
+                y = y + 100;
+            case 1:
+                y = y + 1;
+            }
+        }
+        emit_v (a, pick(v & 3));
+        emit_v (b, fall(v & 7));
+        emit_v (c, x);
+        emit_v (d, y);
+    }
+}
+`
+
+// TestConformanceSwitchSemantics pins C switch semantics on the
+// interpreter with expected values, then requires every conformant
+// backend and the generated Go to reproduce its trace.
+func TestConformanceSwitchSemantics(t *testing.T) {
+	d := driver.New(0)
+	res := d.BuildOne(driver.Request{
+		Path: "switch.ecl", Source: switchSemanticsSrc, Module: "swsem",
+		Targets: []driver.Target{driver.TargetGo}, GoPackage: "main",
+	})
+	if res.Failed() {
+		t.Fatalf("build: %v", res.Err)
+	}
+	ref, err := exec.Open("interp", res.Design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instants := []map[string]cval.Value{{}} // boot: the await arms
+	for v := int64(0); v < 16; v++ {
+		instants = append(instants, map[string]cval.Value{"v": cval.FromInt(ctypes.Int, v)})
+	}
+	want, err := exec.Record(ref, instants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := int64(0); v < 16; v++ {
+		pick, fall, x, y := int64(9), int64(500), int64(9), int64(202)
+		if v&3 == 1 {
+			pick, x, y = 1, 1, 2
+		}
+		switch v & 7 {
+		case 2:
+			fall = 32
+		case 3:
+			fall = 30
+		}
+		exp := map[string]string{}
+		for name, n := range map[string]int64{"a": pick, "b": fall, "c": x, "d": y} {
+			exp[name] = exec.EncodeValue(cval.FromInt(ctypes.Int, n))
+		}
+		got := want.Events[v+1].Outputs
+		if exec.ObservationString(got, false) != exec.ObservationString(exp, false) {
+			t.Errorf("interp, v=%d: outputs %v, want %v", v, got, exp)
+		}
+	}
+
+	for _, backend := range exec.ConformantBackends() {
+		if backend == "interp" {
+			continue
+		}
+		if err := exec.Diff(want, recordTrace(t, backend, res.Design, instants)); err != nil {
+			t.Errorf("interp vs %s: %v", backend, err)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	if goTool, err := osexec.LookPath("go"); err == nil {
+		got := runGeneratedGo(t, goTool, "swsem", res.Artifacts[driver.TargetGo], want)
+		if err := exec.Diff(want, got); err != nil {
+			t.Errorf("interp vs generated Go: %v", err)
+		}
 	}
 }

@@ -459,7 +459,7 @@ func (g *gogen) stmt(b *kernel.Binding, s ast.Stmt) error {
 			return err
 		}
 		g.printf("switch %s {\n", tag)
-		for _, c := range s.Cases {
+		for ci, c := range s.Cases {
 			if c.Values == nil {
 				g.printf("default:\n")
 			} else {
@@ -483,6 +483,10 @@ func (g *gogen) stmt(b *kernel.Binding, s ast.Stmt) error {
 					return err
 				}
 			}
+			// C falls through into the next clause; Go must say so.
+			if ci < len(s.Cases)-1 && completes(c.Body) {
+				g.printf("fallthrough\n")
+			}
 			g.ind--
 		}
 		g.printf("}\n")
@@ -504,6 +508,23 @@ func (g *gogen) stmt(b *kernel.Binding, s ast.Stmt) error {
 		return fmt.Errorf("unsupported statement %T", s)
 	}
 	return nil
+}
+
+// completes reports whether control can run off the end of a statement
+// list, as opposed to leaving through break, continue or return.
+func completes(list []ast.Stmt) bool {
+	if len(list) == 0 {
+		return true
+	}
+	switch s := list[len(list)-1].(type) {
+	case *ast.Break, *ast.Continue, *ast.Return:
+		return false
+	case *ast.Block:
+		return completes(s.Stmts)
+	case *ast.If:
+		return s.Else == nil || completes([]ast.Stmt{s.Then}) || completes([]ast.Stmt{s.Else})
+	}
+	return true
 }
 
 // stmtExpr compiles an expression statement (assignment, inc/dec, call).

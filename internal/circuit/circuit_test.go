@@ -8,7 +8,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/cval"
 	"repro/internal/efsm"
-	"repro/internal/kernel"
+	"repro/internal/efsm/table"
 	"repro/internal/lower"
 	"repro/internal/paperex"
 	"repro/internal/parser"
@@ -58,8 +58,8 @@ func TestSynthesizeABRO(t *testing.T) {
 	}
 }
 
-// TestCircuitMatchesEFSM co-simulates the netlist against the EFSM
-// runtime on random input vectors.
+// TestCircuitMatchesEFSM co-simulates the netlist against the compiled
+// EFSM, run on the table VM, on random input vectors.
 func TestCircuitMatchesEFSM(t *testing.T) {
 	m := buildEFSM(t, paperex.ABRO, "abro")
 	c, err := FromEFSM(m)
@@ -67,25 +67,32 @@ func TestCircuitMatchesEFSM(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewSimulator(c)
-	rt := efsm.NewRuntime(m)
+	prog, err := table.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := table.New(prog)
+	nIn := len(m.Inputs)
+	slots := make([]bool, nIn+len(m.Outputs))
+	vals, outs := make([]cval.Value, nIn), make([]cval.Value, len(m.Outputs))
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 500; i++ {
 		present := map[string]bool{}
-		in := map[*kernel.Signal]cval.Value{}
-		for _, sig := range m.Inputs {
-			if rng.Intn(3) == 0 {
+		for j, sig := range m.Inputs {
+			slots[j] = rng.Intn(3) == 0
+			if slots[j] {
 				present[sig.Name] = true
-				in[sig] = cval.Value{}
 			}
 		}
 		hw := sim.Step(present)
-		sw, err := rt.Step(in)
-		if err != nil {
+		if _, err := sw.Step(slots, vals, outs); err != nil {
 			t.Fatal(err)
 		}
 		swOut := map[string]bool{}
-		for sig := range sw.Outputs {
-			swOut[sig.Name] = true
+		for j, sig := range m.Outputs {
+			if slots[nIn+j] {
+				swOut[sig.Name] = true
+			}
 		}
 		for name := range hw {
 			if !swOut[name] {

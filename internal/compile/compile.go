@@ -188,8 +188,6 @@ func (e constEnv) SignalValue(s *kernel.Signal) (cval.Value, error) {
 	return cval.Value{}, fmt.Errorf("signal %s value unknown at compile time", s.Name)
 }
 
-func (e constEnv) Charge(int) {}
-
 type symHooks struct{ c *compiler }
 
 // tryConst evaluates an expression against the constant store.

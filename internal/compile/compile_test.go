@@ -8,6 +8,7 @@ import (
 	"repro/internal/ctypes"
 	"repro/internal/cval"
 	"repro/internal/efsm"
+	"repro/internal/efsm/table"
 	"repro/internal/interp"
 	"repro/internal/kernel"
 	"repro/internal/lower"
@@ -80,7 +81,57 @@ func TestCompileTerminatingModule(t *testing.T) {
 	}
 }
 
-// cosim drives the interpreter and the EFSM runtime with the same
+// tableRun executes a compiled EFSM on the table VM with kernel-signal
+// keyed I/O, the shape the co-simulations compare against the
+// interpreter.
+type tableRun struct {
+	em      *efsm.Machine
+	m       *table.Machine
+	present []bool
+	in, out []cval.Value
+}
+
+func newTableRun(t *testing.T, em *efsm.Machine) *tableRun {
+	t.Helper()
+	p, err := table.Compile(em)
+	if err != nil {
+		t.Fatalf("table: %v", err)
+	}
+	r := &tableRun{
+		em:      em,
+		m:       table.New(p),
+		present: make([]bool, len(em.Inputs)+len(em.Outputs)),
+		in:      make([]cval.Value, len(em.Inputs)),
+		out:     make([]cval.Value, len(em.Outputs)),
+	}
+	for j, sig := range em.Outputs {
+		if !sig.Pure && sig.Type != nil {
+			r.out[j] = cval.New(sig.Type)
+		}
+	}
+	return r
+}
+
+// step runs one reaction and returns the emitted outputs with their
+// values, and whether the machine terminated.
+func (r *tableRun) step(in map[*kernel.Signal]cval.Value) (map[*kernel.Signal]cval.Value, bool, error) {
+	for i, sig := range r.em.Inputs {
+		r.in[i], r.present[i] = in[sig]
+	}
+	done, err := r.m.Step(r.present, r.in, r.out)
+	if err != nil {
+		return nil, false, err
+	}
+	outs := map[*kernel.Signal]cval.Value{}
+	for j, sig := range r.em.Outputs {
+		if r.present[len(r.in)+j] {
+			outs[sig] = r.out[j].Clone()
+		}
+	}
+	return outs, done, nil
+}
+
+// cosim drives the interpreter and the compiled EFSM with the same
 // random input sequence and requires identical emitted outputs (names
 // and values) at every instant.
 func cosim(t *testing.T, src, modName string, pol lower.Policy, instants int, seed int64) {
@@ -91,7 +142,7 @@ func cosim(t *testing.T, src, modName string, pol lower.Policy, instants int, se
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	rt := efsm.NewRuntime(em)
+	rt := newTableRun(t, em)
 	rng := rand.New(rand.NewSource(seed))
 
 	for i := 0; i < instants; i++ {
@@ -112,17 +163,17 @@ func cosim(t *testing.T, src, modName string, pol lower.Policy, instants int, se
 		if err != nil {
 			t.Fatalf("instant %d: interp: %v", i, err)
 		}
-		sr, err := rt.Step(rin)
+		souts, sdone, err := rt.step(rin)
 		if err != nil {
 			t.Fatalf("instant %d: efsm: %v", i, err)
 		}
 		refOut := outputsString(rr.Outputs)
-		efsmOut := outputsString(sr.Outputs)
+		efsmOut := outputsString(souts)
 		if refOut != efsmOut {
 			t.Fatalf("instant %d diverged:\n interp: %s\n efsm:   %s", i, refOut, efsmOut)
 		}
-		if rr.Terminated != sr.Terminated {
-			t.Fatalf("instant %d: termination diverged (interp %v, efsm %v)", i, rr.Terminated, sr.Terminated)
+		if rr.Terminated != sdone {
+			t.Fatalf("instant %d: termination diverged (interp %v, efsm %v)", i, rr.Terminated, sdone)
 		}
 		if rr.Terminated {
 			break
@@ -223,33 +274,33 @@ func TestCosimStackPackets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	rt := efsm.NewRuntime(em)
+	rt := newTableRun(t, em)
 	inByte := res.Module.Signal("in_byte")
-	if _, err := rt.Step(nil); err != nil {
+	if _, _, err := rt.step(nil); err != nil {
 		t.Fatal(err)
 	}
 	run := func(good bool) bool {
 		pkt := paperex.MakePacket(good)
 		match := false
 		for i := 0; i < paperex.PktSize; i++ {
-			r, err := rt.Step(map[*kernel.Signal]cval.Value{
+			outs, _, err := rt.step(map[*kernel.Signal]cval.Value{
 				inByte: cval.FromInt(ctypes.UChar, int64(pkt[i])),
 			})
 			if err != nil {
 				t.Fatalf("byte %d: %v", i, err)
 			}
-			for s := range r.Outputs {
+			for s := range outs {
 				if s.Name == "addr_match" {
 					match = true
 				}
 			}
 		}
 		for i := 0; i < paperex.HdrSize+4; i++ {
-			r, err := rt.Step(nil)
+			outs, _, err := rt.step(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for s := range r.Outputs {
+			for s := range outs {
 				if s.Name == "addr_match" {
 					match = true
 				}
@@ -275,8 +326,8 @@ func TestMinimizePreservesBehavior(t *testing.T) {
 		t.Fatal(err)
 	}
 	min, _ := efsm.Minimize(em)
-	rt1 := efsm.NewRuntime(em)
-	rt2 := efsm.NewRuntime(min)
+	rt1 := newTableRun(t, em)
+	rt2 := newTableRun(t, min)
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 300; i++ {
 		in := map[*kernel.Signal]cval.Value{}
@@ -285,15 +336,15 @@ func TestMinimizePreservesBehavior(t *testing.T) {
 				in[sig] = cval.Value{}
 			}
 		}
-		r1, err := rt1.Step(in)
+		o1, _, err := rt1.step(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := rt2.Step(in)
+		o2, _, err := rt2.step(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if outputsString(r1.Outputs) != outputsString(r2.Outputs) {
+		if outputsString(o1) != outputsString(o2) {
 			t.Fatalf("instant %d: minimized machine diverged", i)
 		}
 	}

@@ -62,7 +62,8 @@ type Model struct {
 	ReactionEntry int
 	// NodeCycles prices one decision-tree node visit.
 	NodeCycles int
-	// UnitCycles scales dataexec work units (≈1 instruction each).
+	// UnitCycles scales the work units a table machine charges per
+	// reaction (≈1 instruction each; see table.Machine.Cost).
 	UnitCycles int
 
 	// --- RTOS (the paper's async partitions run under a small kernel) ---

@@ -1,12 +1,10 @@
 // Package dataexec executes ECL's C data code: bound expressions,
 // inline assignments, extracted data functions, and calls to plain C
-// functions, against a value environment (internal/cval). Both the
-// reference interpreter and the compiled-EFSM runtime use it, so the
-// two executions share one definition of C semantics.
-//
-// Execution charges abstract work units through Env.Charge; the cost
-// model (internal/cost) scales units into MIPS R3000 cycles. A unit
-// approximates one simple machine instruction.
+// functions, against a value environment (internal/cval). The
+// reference interpreter runs its data actions through it, and the EFSM
+// compiler folds constant guards with it; compiled EFSMs run the same
+// semantics on the table VM (internal/efsm/table), which also keeps
+// the cost accounting.
 package dataexec
 
 import (
@@ -20,14 +18,12 @@ import (
 	"repro/internal/token"
 )
 
-// Env provides variable and signal-value storage plus cost accounting.
+// Env provides variable and signal-value storage.
 type Env interface {
 	// VarValue returns a mutable view of the variable's storage.
 	VarValue(*kernel.Var) (cval.Value, error)
 	// SignalValue returns a view of the signal's current value.
 	SignalValue(*kernel.Signal) (cval.Value, error)
-	// Charge records abstract execution work (approximate instructions).
-	Charge(units int)
 }
 
 // Limits bounds data execution to catch runaway loops in user code.
@@ -80,7 +76,6 @@ func (ev *Evaluator) step() error {
 // ExecDataFunc runs an extracted data function atomically.
 func (ev *Evaluator) ExecDataFunc(f *kernel.DataFunc) error {
 	ev.steps = 0
-	ev.Env.Charge(4) // call overhead
 	c, _, err := ev.execStmts(f.B, f.Body)
 	if err != nil {
 		return fmt.Errorf("%s: %w", f.Name, err)
@@ -102,7 +97,6 @@ func (ev *Evaluator) ExecAssign(lhs, rhs kernel.Expr) error {
 	if err != nil {
 		return err
 	}
-	ev.Env.Charge(1 + dst.Type.Size()/4)
 	return dst.Assign(src)
 }
 
@@ -171,7 +165,6 @@ func (ev *Evaluator) execStmt(b *kernel.Binding, s ast.Stmt) (ctrl, cval.Value, 
 			if err != nil {
 				return ctrlNormal, cval.Value{}, err
 			}
-			ev.Env.Charge(1)
 			if err := dst.Assign(src); err != nil {
 				return ctrlNormal, cval.Value{}, err
 			}
@@ -187,7 +180,6 @@ func (ev *Evaluator) execStmt(b *kernel.Binding, s ast.Stmt) (ctrl, cval.Value, 
 		if err != nil {
 			return ctrlNormal, cval.Value{}, err
 		}
-		ev.Env.Charge(2)
 		if cond.Bool() {
 			return ev.execStmt(b, s.Then)
 		}
@@ -205,7 +197,6 @@ func (ev *Evaluator) execStmt(b *kernel.Binding, s ast.Stmt) (ctrl, cval.Value, 
 			if err != nil {
 				return ctrlNormal, cval.Value{}, err
 			}
-			ev.Env.Charge(2)
 			if !cond.Bool() {
 				return ctrlNormal, cval.Value{}, nil
 			}
@@ -240,7 +231,6 @@ func (ev *Evaluator) execStmt(b *kernel.Binding, s ast.Stmt) (ctrl, cval.Value, 
 			if err != nil {
 				return ctrlNormal, cval.Value{}, err
 			}
-			ev.Env.Charge(2)
 			if !cond.Bool() {
 				return ctrlNormal, cval.Value{}, nil
 			}
@@ -261,7 +251,6 @@ func (ev *Evaluator) execStmt(b *kernel.Binding, s ast.Stmt) (ctrl, cval.Value, 
 				if err != nil {
 					return ctrlNormal, cval.Value{}, err
 				}
-				ev.Env.Charge(2)
 				if !cond.Bool() {
 					return ctrlNormal, cval.Value{}, nil
 				}
@@ -288,35 +277,42 @@ func (ev *Evaluator) execStmt(b *kernel.Binding, s ast.Stmt) (ctrl, cval.Value, 
 		if err != nil {
 			return ctrlNormal, cval.Value{}, err
 		}
-		ev.Env.Charge(3)
+		// Enter at the first clause with a matching case value
+		// (non-constant values never match), else at the default, then
+		// run clauses in order until a break (C fallthrough).
 		tagInt := tag.Int()
-		matched := false
-		for _, c := range s.Cases {
-			if !matched {
-				if c.Values == nil {
-					matched = true // default (C would scan further, but
-					// our sem rejects fallthrough so order is safe)
-				} else {
-					for _, vexpr := range c.Values {
-						v, ok := ev.Info.ConstEval(vexpr)
-						if ok && v == tagInt {
-							matched = true
-							break
-						}
-					}
+		start, def := -1, -1
+	scan:
+		for i, c := range s.Cases {
+			if c.Values == nil {
+				if def < 0 {
+					def = i
+				}
+				continue
+			}
+			for _, vexpr := range c.Values {
+				if v, ok := ev.Info.ConstEval(vexpr); ok && v == tagInt {
+					start = i
+					break scan
 				}
 			}
-			if matched {
-				cc, v, err := ev.execStmts(b, c.Body)
-				if err != nil {
-					return ctrlNormal, cval.Value{}, err
-				}
-				switch cc {
-				case ctrlBreak:
-					return ctrlNormal, cval.Value{}, nil
-				case ctrlReturn, ctrlContinue:
-					return cc, v, nil
-				}
+		}
+		if start < 0 {
+			start = def
+		}
+		if start < 0 {
+			return ctrlNormal, cval.Value{}, nil
+		}
+		for _, c := range s.Cases[start:] {
+			cc, v, err := ev.execStmts(b, c.Body)
+			if err != nil {
+				return ctrlNormal, cval.Value{}, err
+			}
+			switch cc {
+			case ctrlBreak:
+				return ctrlNormal, cval.Value{}, nil
+			case ctrlReturn, ctrlContinue:
+				return cc, v, nil
 			}
 		}
 		return ctrlNormal, cval.Value{}, nil
@@ -371,7 +367,6 @@ func (ev *Evaluator) lvalue(b *kernel.Binding, e ast.Expr) (cval.Value, error) {
 		if err != nil {
 			return cval.Value{}, err
 		}
-		ev.Env.Charge(2)
 		return arr.Index(int(idx.Int()))
 	case *ast.Member:
 		if e.Arrow {
@@ -381,7 +376,6 @@ func (ev *Evaluator) lvalue(b *kernel.Binding, e ast.Expr) (cval.Value, error) {
 		if err != nil {
 			return cval.Value{}, err
 		}
-		ev.Env.Charge(1)
 		return s.Field(e.Name)
 	}
 	return cval.Value{}, fmt.Errorf("expression is not assignable")
@@ -395,23 +389,19 @@ func (ev *Evaluator) eval(b *kernel.Binding, e ast.Expr) (cval.Value, error) {
 	case *ast.Ident:
 		switch obj := ev.Info.UseOf(e).(type) {
 		case *sem.VarInfo:
-			ev.Env.Charge(1)
 			return ev.varView(b, obj)
 		case *sem.SignalInfo:
 			sig := b.Sigs[obj]
 			if sig == nil {
 				return cval.Value{}, fmt.Errorf("signal %q unbound in instance %s", e.Name, b.Label)
 			}
-			ev.Env.Charge(2)
 			return ev.Env.SignalValue(sig)
 		case *sem.ConstInfo:
-			ev.Env.Charge(1)
 			return cval.FromInt(ctypes.Int, obj.Value), nil
 		}
 		return cval.Value{}, fmt.Errorf("cannot evaluate %q", e.Name)
 
 	case *ast.BasicLit:
-		ev.Env.Charge(1)
 		switch e.Kind {
 		case token.INT:
 			v, ok := ev.Info.ConstEval(e)
@@ -450,7 +440,6 @@ func (ev *Evaluator) eval(b *kernel.Binding, e ast.Expr) (cval.Value, error) {
 		if e.Op == token.DEC {
 			delta = -1
 		}
-		ev.Env.Charge(2)
 		dst.SetInt(dst.Int() + delta)
 		return old, nil
 
@@ -465,7 +454,6 @@ func (ev *Evaluator) eval(b *kernel.Binding, e ast.Expr) (cval.Value, error) {
 		if err != nil {
 			return cval.Value{}, err
 		}
-		ev.Env.Charge(2)
 		if c.Bool() {
 			return ev.eval(b, e.Then)
 		}
@@ -483,7 +471,6 @@ func (ev *Evaluator) eval(b *kernel.Binding, e ast.Expr) (cval.Value, error) {
 		if err != nil {
 			return cval.Value{}, err
 		}
-		ev.Env.Charge(2)
 		return arr.Index(int(idx.Int()))
 
 	case *ast.Member:
@@ -494,7 +481,6 @@ func (ev *Evaluator) eval(b *kernel.Binding, e ast.Expr) (cval.Value, error) {
 		if err != nil {
 			return cval.Value{}, err
 		}
-		ev.Env.Charge(1)
 		return s.Field(e.Name)
 
 	case *ast.Cast:
@@ -506,11 +492,9 @@ func (ev *Evaluator) eval(b *kernel.Binding, e ast.Expr) (cval.Value, error) {
 		if to == nil {
 			return cval.Value{}, fmt.Errorf("unresolved cast target type")
 		}
-		ev.Env.Charge(1)
 		return cval.Convert(x, to)
 
 	case *ast.SizeofExpr:
-		ev.Env.Charge(1)
 		if e.Type != nil {
 			t := ev.Info.TypeOfExpr[e.Type]
 			if t == nil {
@@ -538,7 +522,6 @@ func (ev *Evaluator) evalUnary(b *kernel.Binding, e *ast.Unary) (cval.Value, err
 		if e.Op == token.DEC {
 			delta = -1
 		}
-		ev.Env.Charge(2)
 		dst.SetInt(dst.Int() + delta)
 		return dst.Clone(), nil
 	}
@@ -546,7 +529,6 @@ func (ev *Evaluator) evalUnary(b *kernel.Binding, e *ast.Unary) (cval.Value, err
 	if err != nil {
 		return cval.Value{}, err
 	}
-	ev.Env.Charge(1)
 	switch e.Op {
 	case token.ADD:
 		return x, nil
@@ -583,7 +565,6 @@ func (ev *Evaluator) evalAssign(b *kernel.Binding, e *ast.Assign) (cval.Value, e
 	if err != nil {
 		return cval.Value{}, err
 	}
-	ev.Env.Charge(1 + dst.Type.Size()/4)
 	if e.Op == token.ASSIGN {
 		if err := dst.Assign(src); err != nil {
 			return cval.Value{}, err
@@ -637,7 +618,6 @@ func (ev *Evaluator) evalBinary(b *kernel.Binding, e *ast.Binary) (cval.Value, e
 		if err != nil {
 			return cval.Value{}, err
 		}
-		ev.Env.Charge(2)
 		if !x.Bool() {
 			return cval.FromInt(ctypes.Int, 0), nil
 		}
@@ -651,7 +631,6 @@ func (ev *Evaluator) evalBinary(b *kernel.Binding, e *ast.Binary) (cval.Value, e
 		if err != nil {
 			return cval.Value{}, err
 		}
-		ev.Env.Charge(2)
 		if x.Bool() {
 			return cval.FromInt(ctypes.Int, 1), nil
 		}
@@ -669,7 +648,6 @@ func (ev *Evaluator) evalBinary(b *kernel.Binding, e *ast.Binary) (cval.Value, e
 	if err != nil {
 		return cval.Value{}, err
 	}
-	ev.Env.Charge(1)
 	return arith(e.Op, x, y)
 }
 
@@ -848,7 +826,6 @@ func (ev *Evaluator) evalCall(b *kernel.Binding, e *ast.Call) (cval.Value, error
 		}
 		frame[p] = slot
 	}
-	ev.Env.Charge(6 + 2*len(e.Args)) // call/return + argument setup
 	ev.frames = append(ev.frames, frame)
 	c, v, err := ev.execStmts(b, fi.Decl.Body.Stmts)
 	ev.frames = ev.frames[:len(ev.frames)-1]

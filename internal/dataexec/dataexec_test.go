@@ -1,6 +1,7 @@
 package dataexec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,9 +18,8 @@ import (
 
 // env is a simple in-memory Env for tests.
 type env struct {
-	vars  map[*kernel.Var]cval.Value
-	sigs  map[*kernel.Signal]cval.Value
-	units int
+	vars map[*kernel.Var]cval.Value
+	sigs map[*kernel.Signal]cval.Value
 }
 
 func (e *env) VarValue(v *kernel.Var) (cval.Value, error) {
@@ -41,8 +41,6 @@ func (e *env) SignalValue(s *kernel.Signal) (cval.Value, error) {
 	}
 	return cval.Value{}, errNoVar
 }
-
-func (e *env) Charge(n int) { e.units += n }
 
 // harness compiles a tiny module whose body is data statements working
 // on declared variables, then provides an evaluator over them.
@@ -229,6 +227,38 @@ func TestSwitchExec(t *testing.T) {
 	}
 }
 
+// TestSwitchDefaultFirst pins C's dispatch: a matching case wins over
+// a default placed before it, and control falls through clauses
+// (empty ones included) until a break.
+func TestSwitchDefaultFirst(t *testing.T) {
+	for _, tc := range []struct{ k, r int64 }{{1, 1}, {2, 32}, {3, 30}, {4, 500}, {7, 509}} {
+		h := build(t, "int k; int r;", fmt.Sprintf(`
+        k = %d; r = 0;
+        switch (k) {
+        default:
+            r = 9;
+        case 4:
+        case 5:
+            r = r + 500;
+            break;
+        case 1:
+            r = 1;
+            break;
+        case 2:
+            r = 2;
+        case 3:
+            r = r + 30;
+        }
+    `, tc.k))
+		if err := h.run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.varInt("r"); got != tc.r {
+			t.Errorf("k=%d: r = %d, want %d", tc.k, got, tc.r)
+		}
+	}
+}
+
 func TestFunctionCalls(t *testing.T) {
 	h := build(t, "int r;", `r = twice(clampsub(3, 5)) + twice(4);`)
 	if err := h.run(); err != nil {
@@ -277,16 +307,6 @@ func TestRunawayLoopBounded(t *testing.T) {
 	h.ev.Limits.MaxSteps = 1000
 	if err := h.run(); err == nil || !strings.Contains(err.Error(), "steps") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestChargeAccounting(t *testing.T) {
-	h := build(t, "int a;", `a = 1 + 2;`)
-	if err := h.run(); err != nil {
-		t.Fatal(err)
-	}
-	if h.env.units == 0 {
-		t.Error("no work charged")
 	}
 }
 

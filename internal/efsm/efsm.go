@@ -1,6 +1,6 @@
 // Package efsm defines the extended finite state machine produced by
-// the ECL compiler (internal/compile) from the Esterel kernel IR, and
-// a runtime that executes it.
+// the ECL compiler (internal/compile) from the Esterel kernel IR. The
+// table VM (internal/efsm/table) executes it.
 //
 // Each control state owns a decision tree — the nested case analysis
 // an Esterel automaton compiler would emit as C. Interior nodes test

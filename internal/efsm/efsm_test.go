@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cval"
 	"repro/internal/kernel"
 )
 
@@ -47,39 +46,6 @@ func tinyMachine() (*Machine, *kernel.Signal, *kernel.Signal, *kernel.Signal) {
 		Initial: s0,
 	}
 	return m, a, b, o
-}
-
-func TestRuntimeStep(t *testing.T) {
-	m, a, b, _ := tinyMachine()
-	rt := NewRuntime(m)
-	r, err := rt.Step(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Outputs) != 0 || rt.CurrentState().ID != 0 {
-		t.Fatal("idle step misbehaved")
-	}
-	r, err = rt.Step(map[*kernel.Signal]cval.Value{a: {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Outputs) != 1 || rt.CurrentState().ID != 1 {
-		t.Fatalf("A step: outputs=%d state=%d", len(r.Outputs), rt.CurrentState().ID)
-	}
-	r, err = rt.Step(map[*kernel.Signal]cval.Value{b: {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Terminated || !rt.Terminated() {
-		t.Fatal("termination missed")
-	}
-	r, err = rt.Step(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Terminated {
-		t.Fatal("terminated runtime must stay terminated")
-	}
 }
 
 func TestTransitionsFlatten(t *testing.T) {

@@ -13,7 +13,10 @@ import (
 // ---------------------------------------------------------------------------
 // Reactive layer: decision trees and actions
 
-func (c *compiler) tree(n efsm.Node, st *efsm.State) {
+// tree compiles one decision (sub)tree. nodes counts the tree nodes a
+// reaction visits to get here, this one included: each leaf's opEnd
+// records it as the reaction's depth.
+func (c *compiler) tree(n efsm.Node, st *efsm.State, nodes uint64) {
 	switch n := n.(type) {
 	case *efsm.Leaf:
 		next := int32(-1)
@@ -29,11 +32,11 @@ func (c *compiler) tree(n efsm.Node, st *efsm.State) {
 		if n.Terminal {
 			term = 1
 		}
-		c.emit(opEnd, next, term)
+		c.emitImm(opEnd, next, term, nodes)
 
 	case *efsm.ActNode:
 		c.action(n.Act, st)
-		c.tree(n.Next, st)
+		c.tree(n.Next, st, nodes+1)
 
 	case *efsm.InputBranch:
 		si, ok := c.sigIdx[n.Sig]
@@ -42,16 +45,18 @@ func (c *compiler) tree(n efsm.Node, st *efsm.State) {
 			return
 		}
 		br := c.emit(opBranchIn, si, 0)
-		c.tree(n.Then, st) // every path ends in opEnd/opError: no join
+		c.charge(br, 2)             // test + branch
+		c.tree(n.Then, st, nodes+1) // every path ends in opEnd/opError: no join
 		c.patchB(br, c.here())
-		c.tree(n.Else, st)
+		c.tree(n.Else, st, nodes+1)
 
 	case *efsm.DataBranch:
 		c.expr(ectx{b: n.Expr.B}, n.Expr.E)
 		jf := c.emit(opJumpFalse, 0, 0)
-		c.tree(n.Then, st)
+		c.charge(jf, 2)
+		c.tree(n.Then, st, nodes+1)
 		c.patchA(jf, c.here())
-		c.tree(n.Else, st)
+		c.tree(n.Else, st, nodes+1)
 
 	default:
 		c.emitErr("state s%d: nil decision-tree node", st.ID)
@@ -69,14 +74,14 @@ func (c *compiler) action(a efsm.Action, st *efsm.State) {
 				c.adj(-1)
 				return
 			}
-			c.emit(opEmit, mi, 1)
+			c.charge(c.emit(opEmit, mi, 1), 3)
 		} else {
-			c.emit(opEmit, mi, 0)
+			c.charge(c.emit(opEmit, mi, 0), 3)
 		}
 	case efsm.ActAssign:
-		c.lvalue(ectx{b: a.LHS.B}, a.LHS.E)
+		ti := c.lvalue(ectx{b: a.LHS.B}, a.LHS.E)
 		c.expr(ectx{b: a.RHS.B}, a.RHS.E)
-		c.emit(opAssign, 0, 0)
+		c.charge(c.emit(opAssign, 0, 0), c.storeUnits(ti))
 		c.emit(opDrop, 0, 0)
 	case efsm.ActEval:
 		c.expr(ectx{b: a.X.B}, a.X.E)
@@ -86,7 +91,7 @@ func (c *compiler) action(a efsm.Action, st *efsm.State) {
 			c.emitErr("state s%d: nil data function", st.ID)
 			return
 		}
-		c.emit(opCallData, c.dataFuncFor(a.F), 0)
+		c.charge(c.emit(opCallData, c.dataFuncFor(a.F), 0), 4) // call overhead
 	default:
 		c.emitErr("state s%d: unknown action kind %d", st.ID, a.Kind)
 	}
@@ -118,7 +123,7 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 	case *ast.Ident:
 		switch obj := c.info.UseOf(e).(type) {
 		case *sem.VarInfo:
-			c.varRef(cx, obj)
+			c.varRef(cx, obj, 1)
 		case *sem.SignalInfo:
 			sig := cx.b.Sigs[obj]
 			if sig == nil {
@@ -130,9 +135,9 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 				c.exprErr("signal %s carries no value", sig.Name)
 				return
 			}
-			c.emit(opPushG, gs.off, gs.typ)
+			c.charge(c.emit(opPushG, gs.off, gs.typ), 2)
 		case *sem.ConstInfo:
-			c.pushInt(c.p.tInt, obj.Value)
+			c.charge(c.pushInt(c.p.tInt, obj.Value), 1)
 		default:
 			c.exprErr("cannot evaluate %q", e.Name)
 		}
@@ -145,21 +150,21 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 				c.exprErr("bad integer literal %q", e.Value)
 				return
 			}
-			c.pushInt(c.p.tInt, v)
+			c.charge(c.pushInt(c.p.tInt, v), 1)
 		case token.CHAR:
 			v, ok := c.info.ConstEval(e)
 			if !ok {
 				c.exprErr("bad char literal %q", e.Value)
 				return
 			}
-			c.pushInt(c.tChar, v)
+			c.charge(c.pushInt(c.tChar, v), 1)
 		case token.FLOAT:
 			var f float64
 			if _, err := fmt.Sscanf(e.Value, "%g", &f); err != nil {
 				c.exprErr("bad float literal %q", e.Value)
 				return
 			}
-			c.pushFloat(c.p.tDouble, f)
+			c.charge(c.pushFloat(c.p.tDouble, f), 1)
 		default:
 			c.exprErr("unsupported literal %q", e.Value)
 		}
@@ -176,16 +181,16 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 		if e.Op == token.DEC {
 			delta = -1
 		}
-		c.emit(opIncDec, delta, 1)
+		c.charge(c.emit(opIncDec, delta, 1), 2)
 
 	case *ast.Binary:
 		c.binary(cx, e)
 
 	case *ast.Assign:
-		c.lvalue(cx, e.LHS)
+		units := c.storeUnits(c.lvalue(cx, e.LHS))
 		c.expr(cx, e.RHS)
 		if e.Op == token.ASSIGN {
-			c.emit(opAssign, 0, 0)
+			c.charge(c.emit(opAssign, 0, 0), units)
 			return
 		}
 		binOp, ok := assignBinOp(e.Op)
@@ -194,11 +199,12 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 			c.adj(-1)
 			return
 		}
-		c.emit(opAssignOp, int32(binOp), 0)
+		c.charge(c.emit(opAssignOp, int32(binOp), 0), units)
 
 	case *ast.Cond:
 		c.expr(cx, e.CondX)
 		jf := c.emit(opJumpFalse, 0, 0)
+		c.charge(jf, 2)
 		d0 := c.depth
 		c.expr(cx, e.Then)
 		j := c.emit(opJump, 0, 0)
@@ -213,7 +219,7 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 	case *ast.Index:
 		c.expr(cx, e.X)
 		c.expr(cx, e.Sub)
-		c.emit(opIndex, 0, 0)
+		c.charge(c.emit(opIndex, 0, 0), 2)
 
 	case *ast.Member:
 		if e.Arrow {
@@ -221,7 +227,7 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 			return
 		}
 		c.expr(cx, e.X)
-		c.emit(opField, c.name(e.Name), 0)
+		c.charge(c.emit(opField, c.name(e.Name), 0), 1)
 
 	case *ast.Cast:
 		c.expr(cx, e.X)
@@ -235,7 +241,7 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 			c.emitErr("cannot convert to %s", to)
 			return
 		}
-		c.emit(opConvert, ti, 0)
+		c.charge(c.emit(opConvert, ti, 0), 1)
 
 	case *ast.SizeofExpr:
 		// The operand is never evaluated (mirrors dataexec).
@@ -245,7 +251,7 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 				c.exprErr("unresolved sizeof type")
 				return
 			}
-			c.pushInt(c.p.tUint, int64(t.Size()))
+			c.charge(c.pushInt(c.p.tUint, int64(t.Size())), 1)
 			return
 		}
 		t := c.info.TypeOf(e.X)
@@ -253,58 +259,89 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 			c.exprErr("unresolved sizeof operand")
 			return
 		}
-		c.pushInt(c.p.tUint, int64(t.Size()))
+		c.charge(c.pushInt(c.p.tUint, int64(t.Size())), 1)
 
 	default:
 		c.exprErr("cannot evaluate %T", e)
 	}
 }
 
-func (c *compiler) varRef(cx ectx, vi *sem.VarInfo) {
+// varRef pushes a view of a variable, charging units for the access
+// (a read costs one; naming an assignment's target costs nothing), and
+// returns the view's type index, or -1 where the access fails at run
+// time.
+func (c *compiler) varRef(cx ectx, vi *sem.VarInfo, units int32) int32 {
 	if cx.fn != nil {
 		if ls, ok := cx.fn.locals[vi]; ok {
-			c.emit(opPushL, ls.off, ls.typ)
-			return
+			c.charge(c.emit(opPushL, ls.off, ls.typ), units)
+			return ls.typ
 		}
 	}
 	kv := cx.b.Vars[vi]
 	if kv == nil {
 		c.exprErr("variable %q unbound in instance %s", vi.Name, cx.b.Label)
-		return
+		return -1
 	}
 	gs, ok := c.varSlot[kv]
 	if !ok {
 		c.exprErr("unknown variable %s", kv.Name)
-		return
+		return -1
 	}
-	c.emit(opPushG, gs.off, gs.typ)
+	c.charge(c.emit(opPushG, gs.off, gs.typ), units)
+	return gs.typ
 }
 
-func (c *compiler) lvalue(cx ectx, e ast.Expr) {
+// lvalue pushes a view of an assignable expression and returns its type
+// index, or -1 where the access fails at run time.
+func (c *compiler) lvalue(cx ectx, e ast.Expr) int32 {
 	switch e := e.(type) {
 	case *ast.Ident:
 		vi, ok := c.info.UseOf(e).(*sem.VarInfo)
 		if !ok {
 			c.exprErr("%q is not an assignable variable", e.Name)
-			return
+			return -1
 		}
-		c.varRef(cx, vi)
+		return c.varRef(cx, vi, 0)
 	case *ast.Paren:
-		c.lvalue(cx, e.X)
+		return c.lvalue(cx, e.X)
 	case *ast.Index:
-		c.lvalue(cx, e.X)
+		ti := c.lvalue(cx, e.X)
 		c.expr(cx, e.Sub)
-		c.emit(opIndex, 0, 0)
+		c.charge(c.emit(opIndex, 0, 0), 2)
+		if ti < 0 || c.p.types[ti].kind != kArray {
+			return -1
+		}
+		return c.p.types[ti].elem
 	case *ast.Member:
 		if e.Arrow {
 			c.exprErr("pointer member access not supported at runtime")
-			return
+			return -1
 		}
-		c.lvalue(cx, e.X)
-		c.emit(opField, c.name(e.Name), 0)
+		ti := c.lvalue(cx, e.X)
+		c.charge(c.emit(opField, c.name(e.Name), 0), 1)
+		if ti < 0 || c.p.types[ti].kind != kStruct {
+			return -1
+		}
+		for _, f := range c.p.types[ti].fields {
+			if f.name == e.Name {
+				return f.typ
+			}
+		}
+		return -1
 	default:
 		c.exprErr("expression is not assignable")
+		return -1
 	}
+}
+
+// storeUnits prices an assignment into a view of type ti: one unit plus
+// one per word stored. A failing target (-1) stops the reaction before
+// anything is priced.
+func (c *compiler) storeUnits(ti int32) int32 {
+	if ti < 0 {
+		return 0
+	}
+	return 1 + c.p.types[ti].size/4
 }
 
 func (c *compiler) unary(cx ectx, e *ast.Unary) {
@@ -315,18 +352,19 @@ func (c *compiler) unary(cx ectx, e *ast.Unary) {
 		if e.Op == token.DEC {
 			delta = -1
 		}
-		c.emit(opIncDec, delta, 0)
+		c.charge(c.emit(opIncDec, delta, 0), 2)
 	case token.ADD:
 		c.expr(cx, e.X)
+		c.charge(c.emit(opNop, 0, 0), 1)
 	case token.SUB:
 		c.expr(cx, e.X)
-		c.emit(opUnary, uNeg, 0)
+		c.charge(c.emit(opUnary, uNeg, 0), 1)
 	case token.NOT:
 		c.expr(cx, e.X)
-		c.emit(opUnary, uNot, 0)
+		c.charge(c.emit(opUnary, uNot, 0), 1)
 	case token.TILDE:
 		c.expr(cx, e.X)
-		c.emit(opUnary, uTilde, 0)
+		c.charge(c.emit(opUnary, uTilde, 0), 1)
 	default:
 		// The operand's side effects happen first (mirrors dataexec's
 		// eval-then-reject order).
@@ -344,6 +382,7 @@ func (c *compiler) binary(cx ectx, e *ast.Binary) {
 	case token.LAND:
 		c.expr(cx, e.X)
 		jf1 := c.emit(opJumpFalse, 0, 0)
+		c.charge(jf1, 2)
 		d0 := c.depth
 		c.expr(cx, e.Y)
 		jf2 := c.emit(opJumpFalse, 0, 0)
@@ -358,6 +397,7 @@ func (c *compiler) binary(cx ectx, e *ast.Binary) {
 	case token.LOR:
 		c.expr(cx, e.X)
 		jt1 := c.emit(opJumpTrue, 0, 0)
+		c.charge(jt1, 2)
 		d0 := c.depth
 		c.expr(cx, e.Y)
 		jt2 := c.emit(opJumpTrue, 0, 0)
@@ -372,7 +412,7 @@ func (c *compiler) binary(cx ectx, e *ast.Binary) {
 	default:
 		c.expr(cx, e.X)
 		c.expr(cx, e.Y)
-		c.emit(opBinary, int32(e.Op), 0)
+		c.charge(c.emit(opBinary, int32(e.Op), 0), 1)
 	}
 }
 
@@ -427,6 +467,7 @@ func (c *compiler) call(cx ectx, e *ast.Call) {
 		}
 		c.expr(cx, e.Args[i])
 	}
-	// Arguments beyond the parameter list are never evaluated.
-	c.emit(opCall, idx, int32(len(fi.Params)))
+	// Arguments beyond the parameter list are never evaluated, but
+	// their setup is priced (call/return plus two units per argument).
+	c.charge(c.emit(opCall, idx, int32(len(fi.Params))), 6+2*int32(len(e.Args)))
 }

@@ -170,7 +170,7 @@ func Compile(em *efsm.Machine) (*Program, error) {
 	for i, st := range em.States {
 		p.stateEntry[i] = c.here()
 		c.depth = 0
-		c.tree(st.Root, st)
+		c.tree(st.Root, st, 1)
 	}
 
 	// C functions and data-function subroutines, to a fixpoint (bodies
@@ -353,17 +353,22 @@ func (c *compiler) adj(d int32) {
 	}
 }
 
+// charge prices the instruction at pc: every execution adds units to
+// the reaction's work. A unit approximates one machine instruction; the
+// cost model (internal/cost) scales units to cycles.
+func (c *compiler) charge(pc, units int32) { c.p.code[pc].cost += units }
+
 func (c *compiler) patchA(at, target int32) { c.p.code[at].a = target }
 func (c *compiler) patchB(at, target int32) { c.p.code[at].b = target }
 
-func (c *compiler) pushInt(ti int32, v int64) {
+func (c *compiler) pushInt(ti int32, v int64) int32 {
 	r := c.p.immInt(ti, v)
-	c.emitImm(opPushImm, 0, ti, r.bits)
+	return c.emitImm(opPushImm, 0, ti, r.bits)
 }
 
-func (c *compiler) pushFloat(ti int32, f float64) {
+func (c *compiler) pushFloat(ti int32, f float64) int32 {
 	r := c.p.immFloat(ti, f)
-	c.emitImm(opPushImm, 0, ti, r.bits)
+	return c.emitImm(opPushImm, 0, ti, r.bits)
 }
 
 // emitErr emits a deferred runtime error at the current pc.

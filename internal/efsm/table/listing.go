@@ -63,11 +63,14 @@ func (p *Program) listing() string {
 		if int(in.op) < len(opNames) && opNames[in.op] != "" {
 			name = opNames[in.op]
 		}
+		fmt.Fprintf(&b, "  %5d  %-9s a=%-6d b=%d", pc, name, in.a, in.b)
 		if in.imm != 0 {
-			fmt.Fprintf(&b, "  %5d  %-9s a=%-6d b=%-6d imm=%#x\n", pc, name, in.a, in.b, in.imm)
-		} else {
-			fmt.Fprintf(&b, "  %5d  %-9s a=%-6d b=%d\n", pc, name, in.a, in.b)
+			fmt.Fprintf(&b, " imm=%#x", in.imm)
 		}
+		if in.cost != 0 {
+			fmt.Fprintf(&b, " cost=%d", in.cost)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

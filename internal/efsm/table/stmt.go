@@ -47,7 +47,7 @@ func (c *compiler) stmt(sx sctx, s ast.Stmt) {
 			if s.Init != nil {
 				c.emit(opPushL, ls.off, ls.typ)
 				c.expr(sx.cx, s.Init)
-				c.emit(opAssign, 0, 0)
+				c.charge(c.emit(opAssign, 0, 0), 1)
 				c.emit(opDrop, 0, 0)
 			}
 			return
@@ -55,9 +55,9 @@ func (c *compiler) stmt(sx sctx, s ast.Stmt) {
 		// Data-function context: the variable is a module store; only
 		// the initializer runs.
 		if s.Init != nil {
-			c.varRef(sx.cx, vi)
+			c.varRef(sx.cx, vi, 0)
 			c.expr(sx.cx, s.Init)
-			c.emit(opAssign, 0, 0)
+			c.charge(c.emit(opAssign, 0, 0), 1)
 			c.emit(opDrop, 0, 0)
 		}
 
@@ -68,6 +68,7 @@ func (c *compiler) stmt(sx sctx, s ast.Stmt) {
 	case *ast.If:
 		c.expr(sx.cx, s.Cond)
 		jf := c.emit(opJumpFalse, 0, 0)
+		c.charge(jf, 2)
 		c.stmt(sx, s.Then)
 		if s.Else != nil {
 			j := c.emit(opJump, 0, 0)
@@ -83,6 +84,7 @@ func (c *compiler) stmt(sx sctx, s ast.Stmt) {
 		c.emit(opTick, 0, 0)
 		c.expr(sx.cx, s.Cond)
 		jf := c.emit(opJumpFalse, 0, 0)
+		c.charge(jf, 2)
 		brk, cont := []int32{}, []int32{}
 		bsx := sx
 		bsx.brk, bsx.cont = &brk, &cont
@@ -106,7 +108,7 @@ func (c *compiler) stmt(sx sctx, s ast.Stmt) {
 		c.stmt(bsx, s.Body)
 		lcond := c.here()
 		c.expr(sx.cx, s.Cond)
-		c.emit(opJumpTrue, ltop, 0)
+		c.charge(c.emit(opJumpTrue, ltop, 0), 2)
 		end := c.here()
 		for _, j := range brk {
 			c.patchA(j, end)
@@ -125,6 +127,7 @@ func (c *compiler) stmt(sx sctx, s ast.Stmt) {
 		if s.Cond != nil {
 			c.expr(sx.cx, s.Cond)
 			jf = c.emit(opJumpFalse, 0, 0)
+			c.charge(jf, 2)
 		}
 		brk, cont := []int32{}, []int32{}
 		bsx := sx
@@ -178,28 +181,25 @@ func (c *compiler) stmt(sx sctx, s ast.Stmt) {
 	}
 }
 
-// switchStmt mirrors dataexec's sequential matched-latch scan: case
-// values are compared in clause order, a default clause matches as soon
-// as the scan reaches it, non-constant case values never match, and
-// bodies run through in order from the match (C fallthrough).
+// switchStmt compiles C switch dispatch: control enters at the first
+// clause with a matching case value (non-constant values never match),
+// else at the default clause, else skips the switch; bodies are laid
+// out in clause order, so control falls through until a break.
 func (c *compiler) switchStmt(sx sctx, s *ast.Switch) {
 	c.expr(sx.cx, s.Tag)
 	reg := c.tags
 	c.tags++
-	c.emit(opStoreTag, reg, 0)
+	c.charge(c.emit(opStoreTag, reg, 0), 3)
 
-	type casePatch struct {
-		at, clause int32
-		inB        bool
-	}
+	type casePatch struct{ at, clause int32 }
 	var patches []casePatch
-	hasDefault := false
+	def := -1
 	for ci, cc := range s.Cases {
 		if cc.Values == nil {
-			j := c.emit(opJump, 0, 0)
-			patches = append(patches, casePatch{j, int32(ci), false})
-			hasDefault = true
-			break // clauses after a reached default are never tested
+			if def < 0 {
+				def = ci
+			}
+			continue
 		}
 		for _, vexpr := range cc.Values {
 			v, ok := c.info.ConstEval(vexpr)
@@ -207,13 +207,10 @@ func (c *compiler) switchStmt(sx sctx, s *ast.Switch) {
 				continue
 			}
 			at := c.emitImm(opCaseEq, reg, 0, uint64(v))
-			patches = append(patches, casePatch{at, int32(ci), true})
+			patches = append(patches, casePatch{at, int32(ci)})
 		}
 	}
-	endJump := int32(-1)
-	if !hasDefault {
-		endJump = c.emit(opJump, 0, 0)
-	}
+	noMatch := c.emit(opJump, 0, 0)
 
 	bodyPC := make([]int32, len(s.Cases))
 	brk := []int32{}
@@ -225,14 +222,12 @@ func (c *compiler) switchStmt(sx sctx, s *ast.Switch) {
 	}
 	end := c.here()
 	for _, pt := range patches {
-		if pt.inB {
-			c.patchB(pt.at, bodyPC[pt.clause])
-		} else {
-			c.patchA(pt.at, bodyPC[pt.clause])
-		}
+		c.patchB(pt.at, bodyPC[pt.clause])
 	}
-	if endJump >= 0 {
-		c.patchA(endJump, end)
+	if def >= 0 {
+		c.patchA(noMatch, bodyPC[def])
+	} else {
+		c.patchA(noMatch, end)
 	}
 	for _, j := range brk {
 		c.patchA(j, end)

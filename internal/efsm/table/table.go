@@ -1,8 +1,10 @@
 // Package table flattens a compiled EFSM into a dense, allocation-free
 // stepper — the "hardware-speed" software implementation the paper's
-// compiled-code path promises. Where internal/efsm's Runtime walks the
-// decision trees with map-keyed stores and a tree-walking C evaluator,
-// this package compiles the whole machine once:
+// compiled-code path promises. It is the only executor of compiled
+// EFSMs: the efsm, efsm-min and efsm-table backends (internal/exec)
+// and the RTOS tasks of the Table 1 simulator (internal/sim) all run
+// it. Instead of walking the decision trees, it compiles the whole
+// machine once:
 //
 //   - every variable and valued signal gets a fixed byte slot in one
 //     preallocated arena (big-endian MIPS layout, exactly like cval);
@@ -22,6 +24,12 @@
 // conformance and fuzz suites enforce that. The steady-state Step path
 // performs no allocations: all failures take the (allocating) error
 // path, and everything else runs over preallocated storage.
+//
+// The VM also keeps the books Table 1 is priced with. Every
+// instruction carries a compile-time charge in work units, summed per
+// reaction, and every leaf knows how many decision-tree nodes lead to
+// it; Machine.Cost reports both after a Step, and the cost model
+// (internal/cost) turns them into R3000 cycles.
 package table
 
 import (
@@ -186,6 +194,8 @@ type Machine struct {
 	steps   int
 	base    int32 // current C frame base
 	top     int32 // frame-region high-water mark
+
+	units, depth int // the last Step's cost (see Cost)
 }
 
 // New instantiates a machine at the program's boot state.
@@ -208,6 +218,12 @@ func (m *Machine) Program() *Program { return m.p }
 
 // Terminated reports whether the machine has finished.
 func (m *Machine) Terminated() bool { return m.done }
+
+// Cost reports the last Step's dynamic cost, which the cost model
+// prices: the work units its instructions charged and the number of
+// decision-tree nodes it visited, leaf included. A Step that fails or
+// that finds the machine finished costs nothing.
+func (m *Machine) Cost() (units, depth int) { return m.units, m.depth }
 
 // Reset returns the machine to its boot state with zeroed stores.
 func (m *Machine) Reset() {
@@ -233,6 +249,7 @@ func (m *Machine) Reset() {
 // emitted value without a single allocation.
 func (m *Machine) Step(present []bool, in, out []cval.Value) (terminated bool, err error) {
 	p := m.p
+	m.units, m.depth = 0, 0
 	nIn, nOut := len(p.ins), len(p.outs)
 	if len(present) < nIn+nOut || len(in) < nIn || len(out) < nOut {
 		return false, fmt.Errorf("table: %s: slot vectors too short (need %d presence, %d in, %d out)",
@@ -353,15 +370,30 @@ func (m *Machine) Restore(s *Snapshot) error {
 	return nil
 }
 
-// Portable converts a snapshot to the efsm-compatible name-keyed form:
-// the control state by EFSM state ID, variables and signal stores by
-// name with raw bytes.
-func (s *Snapshot) Portable() *efsm.PortableSnapshot {
+// PortableSnapshot is the pointer-free form of a Snapshot: the control
+// state by its EFSM state ID, variables and signal stores by name with
+// raw big-endian bytes. A machine over a Program compiled from the same
+// EFSM (even in a different process, as long as the machine was
+// compiled from the same source) rebinds the names to its own slots and
+// continues exactly where the snapshot left off.
+type PortableSnapshot struct {
+	// StateID is the current control state's EFSM state ID.
+	StateID int
+	// Done mirrors the machine's termination flag.
+	Done bool
+	// Vars maps variable names to their raw value bytes.
+	Vars map[string][]byte
+	// Sigs maps valued-signal names to their stored value bytes.
+	Sigs map[string][]byte
+}
+
+// Portable converts a snapshot to its name-keyed form.
+func (s *Snapshot) Portable() *PortableSnapshot {
 	id := -1
 	if s.state >= 0 {
 		id = s.owner.stateID[s.state]
 	}
-	p := &efsm.PortableSnapshot{
+	p := &PortableSnapshot{
 		StateID: id,
 		Done:    s.done,
 		Vars:    make(map[string][]byte, len(s.owner.vars)),
@@ -378,7 +410,7 @@ func (s *Snapshot) Portable() *efsm.PortableSnapshot {
 
 // SnapshotFromPortable rebinds a portable snapshot's names to this
 // machine's program, validating state ID and store coverage.
-func (m *Machine) SnapshotFromPortable(ps *efsm.PortableSnapshot) (*Snapshot, error) {
+func (m *Machine) SnapshotFromPortable(ps *PortableSnapshot) (*Snapshot, error) {
 	idx := int32(-1)
 	for i, id := range m.p.stateID {
 		if id == ps.StateID {

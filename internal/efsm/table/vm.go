@@ -25,7 +25,7 @@ const maxSteps = 10_000_000
 type op uint8
 
 const (
-	opNop op = iota
+	opNop op = iota // no effect; carries a charge (unary plus)
 
 	// Value refs.
 	opPushG   // a=arena off, b=type: push global view
@@ -68,7 +68,7 @@ const (
 	// Reactive layer.
 	opBranchIn // a=internal signal index, b=else target
 	opEmit     // a=emit meta index, b=1 when a value is on the stack
-	opEnd      // a=next state index (-1 none), b=1 when terminal
+	opEnd      // a=next state index (-1 none), b=1 when terminal, imm=tree nodes visited
 	opError    // a=message index: fail the reaction
 )
 
@@ -91,9 +91,13 @@ const (
 	uTilde
 )
 
-// instr is one fixed-size instruction.
+// instr is one fixed-size instruction. cost is its charge in work
+// units (about one machine instruction each), added to the reaction's
+// total every time the instruction executes; it fills the padding
+// after op, so an instr stays 24 bytes.
 type instr struct {
 	op   op
+	cost int32
 	a, b int32
 	imm  uint64
 }
@@ -530,9 +534,11 @@ func (m *Machine) run(pc int32, extPresent []bool, out []cval.Value) (bool, erro
 	code := p.code
 	stack := m.stack
 	sp := 0
+	units := 0
 	nIn := int32(len(p.ins))
 	for {
 		in := &code[pc]
+		units += int(in.cost)
 		switch in.op {
 		case opNop:
 			pc++
@@ -827,6 +833,7 @@ func (m *Machine) run(pc int32, extPresent []bool, out []cval.Value) (bool, erro
 			pc++
 
 		case opEnd:
+			m.units, m.depth = units, int(in.imm)
 			if in.b == 1 {
 				// Terminal: set done but keep the state index so
 				// snapshots of a finished machine stay well-formed.

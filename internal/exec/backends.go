@@ -16,10 +16,13 @@ import (
 )
 
 // The built-in backends. interp is the semantic oracle; efsm is the
-// production software implementation; efsm-min runs the
-// bisimulation-minimized automaton; sim runs the design as a single
-// task under the simulated RTOS (tick-level, not instant-conformant:
-// it boots tasks before the first Step and cannot snapshot).
+// production software implementation, the compiled EFSM; efsm-min
+// runs the bisimulation-minimized automaton; efsm-table is efsm-min
+// under the name the slot-indexed hot path was introduced with (all
+// three run the table VM of internal/efsm/table); sim runs the design
+// as a single task under the simulated RTOS (tick-level, not
+// instant-conformant: it boots tasks before the first Step and cannot
+// snapshot).
 func init() {
 	Register(Backend{
 		Name:        "interp",
@@ -42,7 +45,7 @@ func init() {
 		Description: "compiled EFSM software implementation",
 		Conformant:  true,
 		Open: func(d *core.Design) (Machine, error) {
-			return newEFSMMachine("efsm", d, d.Machine), nil
+			return openTable("efsm", d.Machine)
 		},
 	})
 	Register(Backend{
@@ -50,14 +53,16 @@ func init() {
 		Description: "compiled EFSM after bisimulation minimization",
 		Conformant:  true,
 		Open: func(d *core.Design) (Machine, error) {
-			return newEFSMMachine("efsm-min", d, minimized(d)), nil
+			return openTable("efsm-min", minimized(d))
 		},
 	})
 	Register(Backend{
 		Name:        "efsm-table",
 		Description: "table-compiled EFSM: flat bytecode over a preallocated arena, slot-indexed I/O",
 		Conformant:  true,
-		Open:        openTable,
+		Open: func(d *core.Design) (Machine, error) {
+			return openTable("efsm-table", minimized(d))
+		},
 	})
 	Register(Backend{
 		Name:        "sim",
@@ -139,120 +144,34 @@ func (im *interpMachine) Restore(s Snapshot) error {
 }
 
 // ---------------------------------------------------------------------------
-// efsm backends
+// compiled-EFSM backends
 
-type efsmMachine struct {
-	name string
-	tbl  *sigTable
-	d    *core.Design
-	rt   *efsm.Runtime
-}
-
-func newEFSMMachine(name string, d *core.Design, m *efsm.Machine) *efsmMachine {
-	return &efsmMachine{
-		name: name,
-		tbl:  newSigTable(m.Mod.Inputs, m.Mod.Outputs),
-		d:    d,
-		rt:   efsm.NewRuntime(m),
-	}
-}
-
-func (em *efsmMachine) Backend() string   { return em.name }
-func (em *efsmMachine) Module() string    { return em.rt.M.Name }
-func (em *efsmMachine) Inputs() []Signal  { return em.tbl.inputs }
-func (em *efsmMachine) Outputs() []Signal { return em.tbl.outputs }
-func (em *efsmMachine) Terminated() bool  { return em.rt.Terminated() }
-
-func (em *efsmMachine) Step(inputs map[string]cval.Value) (*Result, error) {
-	in, err := em.tbl.resolve(inputs)
-	if err != nil {
-		return nil, err
-	}
-	r, err := em.rt.Step(in)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Outputs: nameOutputs(r.Outputs), Terminated: r.Terminated}, nil
-}
-
-func (em *efsmMachine) Reset() error {
-	em.rt.Reset()
-	return nil
-}
-
-func (em *efsmMachine) Snapshot() (Snapshot, error) { return em.rt.Snapshot(), nil }
-
-func (em *efsmMachine) encodeSnapshot(s Snapshot) (*SnapshotBlob, error) {
-	snap, ok := s.(*efsm.Snapshot)
-	if !ok {
-		return nil, fmt.Errorf("exec: %s: cannot encode %T", em.name, s)
-	}
-	p := snap.Portable()
-	return &SnapshotBlob{
-		State: strconv.Itoa(p.StateID), Done: p.Done,
-		Vars: encodeByteMap(p.Vars), Sigs: encodeByteMap(p.Sigs),
-	}, nil
-}
-
-func (em *efsmMachine) decodeSnapshot(b *SnapshotBlob) (Snapshot, error) {
-	stateID, err := strconv.Atoi(b.State)
-	if err != nil {
-		return nil, fmt.Errorf("exec: %s: snapshot blob: bad state %q", em.name, b.State)
-	}
-	vars, err := decodeByteMap(b.Vars)
-	if err != nil {
-		return nil, fmt.Errorf("exec: %s: snapshot blob: %w", em.name, err)
-	}
-	sigs, err := decodeByteMap(b.Sigs)
-	if err != nil {
-		return nil, fmt.Errorf("exec: %s: snapshot blob: %w", em.name, err)
-	}
-	return em.rt.SnapshotFromPortable(&efsm.PortableSnapshot{
-		StateID: stateID, Done: b.Done, Vars: vars, Sigs: sigs,
-	})
-}
-
-func (em *efsmMachine) Restore(s Snapshot) error {
-	snap, ok := s.(*efsm.Snapshot)
-	if !ok {
-		return fmt.Errorf("exec: %s: cannot restore %T", em.name, s)
-	}
-	if err := em.rt.Restore(snap); err != nil {
-		return fmt.Errorf("exec: %s: %w", em.name, err)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// efsm-table backend
-
-// tableMachine runs the table-compiled form of the minimized EFSM. It
-// is the exec hot path's native citizen: StepSlots is the real stepping
-// interface (zero allocations in steady state), and the map Step is a
-// thin adapter over it.
+// tableMachine runs the table-compiled form of an EFSM under the
+// backend name it was opened with. It is the exec hot path's native
+// citizen: StepSlots is the real stepping interface (zero allocations
+// in steady state), and the map Step is a thin adapter over it.
 type tableMachine struct {
-	d       *core.Design
+	name    string
 	m       *table.Machine
 	ports   *Ports
 	adapter *SlotAdapter
 }
 
-func openTable(d *core.Design) (Machine, error) {
-	min := minimized(d)
-	prog, err := table.For(min)
+func openTable(name string, em *efsm.Machine) (Machine, error) {
+	prog, err := table.For(em)
 	if err != nil {
-		return nil, fmt.Errorf("exec: efsm-table: %w", err)
+		return nil, fmt.Errorf("exec: %s: %w", name, err)
 	}
-	ports := newPortsFromKernel(min.Inputs, min.Outputs)
+	ports := newPortsFromKernel(em.Inputs, em.Outputs)
 	return &tableMachine{
-		d:       d,
+		name:    name,
 		m:       table.New(prog),
 		ports:   ports,
 		adapter: NewSlotAdapter(ports),
 	}, nil
 }
 
-func (tm *tableMachine) Backend() string   { return "efsm-table" }
+func (tm *tableMachine) Backend() string   { return tm.name }
 func (tm *tableMachine) Module() string    { return tm.m.Program().Name() }
 func (tm *tableMachine) Inputs() []Signal  { return tm.ports.Inputs() }
 func (tm *tableMachine) Outputs() []Signal { return tm.ports.Outputs() }
@@ -278,7 +197,7 @@ func (tm *tableMachine) Snapshot() (Snapshot, error) { return tm.m.Snapshot(), n
 func (tm *tableMachine) encodeSnapshot(s Snapshot) (*SnapshotBlob, error) {
 	snap, ok := s.(*table.Snapshot)
 	if !ok {
-		return nil, fmt.Errorf("exec: efsm-table: cannot encode %T", s)
+		return nil, fmt.Errorf("exec: %s: cannot encode %T", tm.name, s)
 	}
 	p := snap.Portable()
 	return &SnapshotBlob{
@@ -290,17 +209,17 @@ func (tm *tableMachine) encodeSnapshot(s Snapshot) (*SnapshotBlob, error) {
 func (tm *tableMachine) decodeSnapshot(b *SnapshotBlob) (Snapshot, error) {
 	stateID, err := strconv.Atoi(b.State)
 	if err != nil {
-		return nil, fmt.Errorf("exec: efsm-table: snapshot blob: bad state %q", b.State)
+		return nil, fmt.Errorf("exec: %s: snapshot blob: bad state %q", tm.name, b.State)
 	}
 	vars, err := decodeByteMap(b.Vars)
 	if err != nil {
-		return nil, fmt.Errorf("exec: efsm-table: snapshot blob: %w", err)
+		return nil, fmt.Errorf("exec: %s: snapshot blob: %w", tm.name, err)
 	}
 	sigs, err := decodeByteMap(b.Sigs)
 	if err != nil {
-		return nil, fmt.Errorf("exec: efsm-table: snapshot blob: %w", err)
+		return nil, fmt.Errorf("exec: %s: snapshot blob: %w", tm.name, err)
 	}
-	return tm.m.SnapshotFromPortable(&efsm.PortableSnapshot{
+	return tm.m.SnapshotFromPortable(&table.PortableSnapshot{
 		StateID: stateID, Done: b.Done, Vars: vars, Sigs: sigs,
 	})
 }
@@ -308,10 +227,10 @@ func (tm *tableMachine) decodeSnapshot(b *SnapshotBlob) (Snapshot, error) {
 func (tm *tableMachine) Restore(s Snapshot) error {
 	snap, ok := s.(*table.Snapshot)
 	if !ok {
-		return fmt.Errorf("exec: efsm-table: cannot restore %T", s)
+		return fmt.Errorf("exec: %s: cannot restore %T", tm.name, s)
 	}
 	if err := tm.m.Restore(snap); err != nil {
-		return fmt.Errorf("exec: efsm-table: %w", err)
+		return fmt.Errorf("exec: %s: %w", tm.name, err)
 	}
 	return nil
 }

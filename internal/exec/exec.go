@@ -9,7 +9,8 @@
 // termination, and (where the backend supports it) save and branch its
 // full state.
 //
-// Backends register themselves by name (interp, efsm, efsm-min, sim);
+// Backends register themselves by name (interp, efsm, efsm-min,
+// efsm-table, sim);
 // Open instantiates one over a compiled Design. A canonical JSONL
 // Trace format (trace.go) records, replays, and diffs executions
 // across backends — including externally generated code — and the

@@ -123,11 +123,13 @@ func FuzzStep(f *testing.F) {
 	})
 }
 
-// FuzzTableDiff is the differential fuzz for the table-compiled
-// backend: the flat-bytecode stepper and the tree-walking EFSM runtime
-// are driven with identical arbitrary input vectors and must agree on
-// every observation, error outcome, and on a portable snapshot round
-// trip taken mid-run.
+// FuzzTableDiff is the differential fuzz for the compiled-EFSM
+// backends: efsm, efsm-min and efsm-table (all three on the table VM,
+// over the compiled and the minimized machine) are driven against the
+// reference interpreter with identical arbitrary input vectors. They
+// must agree with it on every observation and error outcome while each
+// round-trips its state through a portable snapshot blob every
+// instant.
 func FuzzTableDiff(f *testing.F) {
 	if _, err := fuzzCorpusDesigns(); err != nil {
 		f.Fatal(err)
@@ -143,13 +145,17 @@ func FuzzTableDiff(f *testing.F) {
 			t.Fatal(err)
 		}
 		design := designs[int(pick)%len(designs)]
-		ref, err := Open("efsm", design)
+		ref, err := Open("interp", design)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := Open("efsm-table", design)
-		if err != nil {
-			t.Fatal(err)
+		var compiled []Machine
+		for _, backend := range []string{"efsm", "efsm-min", "efsm-table"} {
+			m, err := Open(backend, design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compiled = append(compiled, m)
 		}
 		inputs := ref.Inputs()
 		if len(inputs) == 0 {
@@ -175,40 +181,43 @@ func FuzzTableDiff(f *testing.F) {
 				in[sig.Name] = v
 			}
 
-			// Round-trip the table machine's state through the portable
-			// blob every instant: revival must not change behavior.
-			snap, err := tab.Snapshot()
-			if err != nil {
-				t.Fatalf("table snapshot: %v", err)
-			}
-			blob, err := EncodeSnapshot(tab, snap, instant)
-			if err != nil {
-				t.Fatalf("table encode: %v", err)
-			}
-			restored, _, err := DecodeSnapshot(tab, blob)
-			if err != nil {
-				t.Fatalf("table decode: %v", err)
-			}
-			if err := tab.Restore(restored); err != nil {
-				t.Fatalf("table restore: %v", err)
-			}
+			want, errRef := ref.Step(in)
+			for _, m := range compiled {
+				// Round-trip the machine's state through the portable
+				// blob: revival must not change behavior.
+				snap, err := m.Snapshot()
+				if err != nil {
+					t.Fatalf("%s snapshot: %v", m.Backend(), err)
+				}
+				blob, err := EncodeSnapshot(m, snap, instant)
+				if err != nil {
+					t.Fatalf("%s encode: %v", m.Backend(), err)
+				}
+				restored, _, err := DecodeSnapshot(m, blob)
+				if err != nil {
+					t.Fatalf("%s decode: %v", m.Backend(), err)
+				}
+				if err := m.Restore(restored); err != nil {
+					t.Fatalf("%s restore: %v", m.Backend(), err)
+				}
 
-			res1, err1 := ref.Step(in)
-			res2, err2 := tab.Step(in)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("instant %d error outcome diverged: efsm=%v efsm-table=%v", instant, err1, err2)
+				got, err := m.Step(in)
+				if (errRef == nil) != (err == nil) {
+					t.Fatalf("instant %d error outcome diverged: interp=%v %s=%v", instant, errRef, m.Backend(), err)
+				}
+				if err != nil {
+					continue
+				}
+				a := ObservationString(EncodeInstant(want.Outputs), want.Terminated)
+				b := ObservationString(EncodeInstant(got.Outputs), got.Terminated)
+				if a != b {
+					t.Fatalf("instant %d diverged:\n  interp: [%s]\n  %s: [%s]", instant, a, m.Backend(), b)
+				}
 			}
-			if err1 != nil {
-				// Both failed (e.g. fuzzed division by zero): legal, but
-				// the machines are in backend-defined states now — stop.
-				return
-			}
-			a := ObservationString(EncodeInstant(res1.Outputs), res1.Terminated)
-			b := ObservationString(EncodeInstant(res2.Outputs), res2.Terminated)
-			if a != b {
-				t.Fatalf("instant %d diverged:\n  efsm:       [%s]\n  efsm-table: [%s]", instant, a, b)
-			}
-			if res1.Terminated {
+			if errRef != nil || want.Terminated {
+				// A failed instant (e.g. fuzzed division by zero) is a
+				// legal outcome, but leaves the machines in
+				// backend-defined states: stop.
 				return
 			}
 		}

@@ -217,7 +217,7 @@ func TestSessionUsesSlotPath(t *testing.T) {
 		t.Fatal("session entry did not detect the slot path for efsm-table")
 	}
 	rng := rand.New(rand.NewSource(7))
-	ref, err := Open("efsm", design)
+	ref, err := Open("interp", design)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSessionUsesSlotPath(t *testing.T) {
 		got.Append(batch[i], res)
 	}
 	if err := Diff(want, got); err != nil {
-		t.Fatalf("session slot path diverged from efsm: %v", err)
+		t.Fatalf("session slot path diverged from interp: %v", err)
 	}
 
 	// The interp entry must fall back to the map path.

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/cval"
 	"repro/internal/paperex"
 )
 
@@ -120,5 +123,85 @@ func TestSnapshotBlobValidation(t *testing.T) {
 	}
 	if _, err := EncodeSnapshot(simM, nil, 0); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("sim EncodeSnapshot error %v, want ErrUnsupported", err)
+	}
+}
+
+// TestParkedBlobsRevive revives blobs parked mid-run by the efsm and
+// efsm-min backends back when they ran the tree-walking EFSM runtime
+// (testdata/parked; stack, buffer and runner modules). Each must
+// decode into today's machine of the same backend and continue with
+// the interpreter's trace from the parked instant on.
+func TestParkedBlobsRevive(t *testing.T) {
+	files, err := filepath.Glob("testdata/parked/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no parked blobs (%v)", err)
+	}
+	srcs := map[string]string{
+		"stack.ecl":  paperex.Stack,
+		"buffer.ecl": paperex.Buffer,
+		"runner.ecl": paperex.RunnerStop,
+	}
+	for _, f := range files {
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var parked struct {
+				Path     string              `json:"path"`
+				Module   string              `json:"module"`
+				Backend  string              `json:"backend"`
+				Instants []map[string]string `json:"instants"`
+				Blob     json.RawMessage     `json:"blob"`
+			}
+			if err := json.Unmarshal(data, &parked); err != nil {
+				t.Fatal(err)
+			}
+			design := buildDesign(t, parked.Path, srcs[parked.Path], parked.Module)
+			ref, err := Open("interp", design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instants := make([]map[string]cval.Value, len(parked.Instants))
+			for i, enc := range parked.Instants {
+				if instants[i], err = DecodeInstant(ref, enc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := Record(ref, instants)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			m, err := Open(parked.Backend, design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, at, err := DecodeSnapshot(m, parked.Blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if at <= 0 || at >= len(want.Events) {
+				t.Fatalf("parked at instant %d of %d", at, len(want.Events))
+			}
+			emitted := 0
+			for i, ev := range want.Events[at:] {
+				res, err := m.Step(instants[at+i])
+				if err != nil {
+					t.Fatalf("instant %d: %v", at+i, err)
+				}
+				got := ObservationString(EncodeInstant(res.Outputs), res.Terminated)
+				if w := ObservationString(ev.Outputs, ev.Terminated); got != w {
+					t.Fatalf("instant %d: revived %s [%s], interp [%s]", at+i, parked.Backend, got, w)
+				}
+				emitted += len(res.Outputs)
+			}
+			if emitted == 0 {
+				t.Fatal("nothing emitted after the parked instant: the comparison proves nothing")
+			}
+		})
 	}
 }

@@ -59,8 +59,6 @@ type Reaction struct {
 	Outputs map[*kernel.Signal]cval.Value
 	// Terminated reports whether the program finished.
 	Terminated bool
-	// Units is the abstract data-execution work charged this instant.
-	Units int
 }
 
 // EmittedSet returns the emitted signals as a set.
@@ -94,7 +92,6 @@ type Machine struct {
 	vars         map[*kernel.Var]cval.Value
 	sigVals      map[*kernel.Signal]cval.Value
 	hooks        DataHooks
-	units        int
 	canStartMemo map[kernel.Stmt]canInfo
 	hasExit      map[kernel.Stmt]bool
 
@@ -181,9 +178,6 @@ func (m *Machine) SignalValue(s *kernel.Signal) (cval.Value, error) {
 	return val, nil
 }
 
-// Charge implements dataexec.Env.
-func (m *Machine) Charge(units int) { m.units += units }
-
 // Snapshot is a deep copy of a machine's full execution state: the
 // control residue plus every variable and signal-value store. It can
 // be restored into the machine it came from or into any fresh machine
@@ -231,7 +225,6 @@ func (m *Machine) Reset() {
 	m.state = NewState()
 	m.started = false
 	m.done = false
-	m.units = 0
 	for v := range m.vars {
 		m.vars[v] = cval.New(v.Type)
 	}
@@ -312,7 +305,6 @@ func (m *Machine) React(in Inputs) (*Reaction, error) {
 	if m.done {
 		return &Reaction{Terminated: true, Outputs: map[*kernel.Signal]cval.Value{}}, nil
 	}
-	m.units = 0
 	r := &reaction{
 		m:      m,
 		status: make(map[*kernel.Signal]Status),
@@ -346,7 +338,7 @@ func (m *Machine) React(in Inputs) (*Reaction, error) {
 
 	m.state = r.next
 	m.started = true
-	out := &Reaction{Units: m.units, Outputs: make(map[*kernel.Signal]cval.Value)}
+	out := &Reaction{Outputs: make(map[*kernel.Signal]cval.Value)}
 	out.Emitted = r.emitted
 	for _, sig := range r.emitted {
 		if sig.Class == kernel.Output {

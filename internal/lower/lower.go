@@ -629,11 +629,16 @@ func (lw *lowerer) lowerFor(cx *instCtx, s *ast.For) kernel.Stmt {
 
 func (lw *lowerer) lowerSwitch(cx *instCtx, s *ast.Switch) kernel.Stmt {
 	// Reject fallthrough: every non-final case body must end in break.
+	// That includes an empty clause sharing its body with the next one
+	// (case 1: default: ...), which the if-chain below cannot express.
 	for ci, c := range s.Cases {
-		if ci == len(s.Cases)-1 || len(c.Body) == 0 {
+		if ci == len(s.Cases)-1 {
 			continue
 		}
-		last := c.Body[len(c.Body)-1]
+		var last ast.Stmt
+		if n := len(c.Body); n > 0 {
+			last = c.Body[n-1]
+		}
 		if _, ok := last.(*ast.Break); !ok {
 			lw.errorf(c.KwPos, "switch case must end with break (fallthrough into the next case is not supported in reactive context)")
 		}

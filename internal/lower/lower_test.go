@@ -199,6 +199,42 @@ func TestSwitchFallthroughRejected(t *testing.T) {
 	}
 }
 
+// TestSwitchSharedClauseRejected: in a reactive switch an empty
+// non-final clause falls through into the next one, which the if-chain
+// lowering cannot express, so it gets the fallthrough diagnostic
+// rather than silently doing nothing for its label.
+func TestSwitchSharedClauseRejected(t *testing.T) {
+	for _, labels := range []string{"case 1: default:", "default: case 1:"} {
+		src := `module m(input int v, output int o) {
+            int r;
+            while (1) {
+                await (v);
+                switch (v) {
+                case 0:
+                    r = 0;
+                    break;
+                ` + labels + `
+                    r = 7;
+                    break;
+                }
+                emit_v (o, r);
+            }
+        }`
+		var diags source.DiagList
+		expanded := pp.New(&diags, nil).Expand(source.NewFile("t.ecl", src))
+		f := parser.ParseFile(expanded, &diags)
+		info := sem.Analyze(f, &diags)
+		if diags.HasErrors() {
+			t.Fatalf("front end: %s", diags.String())
+		}
+		if _, err := Lower(info, "m", MaximalReactive, &diags); err == nil {
+			t.Errorf("%q: shared clause in a reactive switch must be rejected", labels)
+		} else if !strings.Contains(diags.String(), "switch case must end with break") {
+			t.Errorf("%q: want the fallthrough diagnostic, got:\n%s", labels, diags.String())
+		}
+	}
+}
+
 func TestEsterelArtifactMentionsDataCall(t *testing.T) {
 	res := lowerSrc(t, paperex.Header+paperex.CheckCRC, "checkcrc", MaximalReactive)
 	text := kernel.EsterelString(res.Module)

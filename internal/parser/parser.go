@@ -728,7 +728,9 @@ func (p *Parser) parseSwitch() ast.Stmt {
 			p.advance()
 			v := p.parseExpr()
 			p.expect(token.COLON)
-			if cur != nil && len(cur.Body) == 0 {
+			// Consecutive case labels share one clause; a label after
+			// an empty default starts its own, so the default survives.
+			if cur != nil && cur.Values != nil && len(cur.Body) == 0 {
 				cur.Values = append(cur.Values, v)
 			} else {
 				cur = &ast.CaseClause{KwPos: cpos, Values: []ast.Expr{v}}

@@ -412,6 +412,55 @@ func TestParseSwitchCaseGroups(t *testing.T) {
 	}
 }
 
+// TestParseSwitchDefaultAdjacentToCase keeps an empty default as its
+// own clause: "default: case 1:" and "case 1: default:" each make two
+// clauses (C enters the shared body from either label).
+func TestParseSwitchDefaultAdjacentToCase(t *testing.T) {
+	for _, tc := range []struct {
+		labels      string
+		defaultAt   int
+		caseValueAt int
+	}{
+		{"default: case 1:", 0, 1},
+		{"case 1: default:", 1, 0},
+	} {
+		src := `int f(int v) {
+            int r = 0;
+            switch (v) {
+            ` + tc.labels + `
+                r = 7;
+                break;
+            case 2:
+                r = 2;
+            }
+            return r;
+        }
+        module m(input pure a, output pure o) { await(a); emit(o); }`
+		f := parseSrc(t, src)
+		var sw *ast.Switch
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				sw, _ = findStmt(fd.Body, func(s ast.Stmt) bool {
+					_, ok := s.(*ast.Switch)
+					return ok
+				}).(*ast.Switch)
+			}
+		}
+		if sw == nil || len(sw.Cases) != 3 {
+			t.Fatalf("%q: want 3 clauses, got %+v", tc.labels, sw)
+		}
+		if sw.Cases[tc.defaultAt].Values != nil {
+			t.Errorf("%q: clause %d should be the default", tc.labels, tc.defaultAt)
+		}
+		if c := sw.Cases[tc.caseValueAt]; len(c.Values) != 1 {
+			t.Errorf("%q: clause %d should be case 1, has %d values", tc.labels, tc.caseValueAt, len(c.Values))
+		}
+		if len(sw.Cases[0].Body) != 0 || len(sw.Cases[1].Body) != 2 {
+			t.Errorf("%q: the first clause must be empty and share the second's body", tc.labels)
+		}
+	}
+}
+
 func TestParseErrorRecovery(t *testing.T) {
 	// A bad statement must not prevent later modules from parsing.
 	src := `module bad(input pure a, output pure o) { emit(); }

@@ -17,9 +17,11 @@ import (
 )
 
 // keyGeneration versions the whole phase-key scheme; bumping it (or
-// snapCodecVersion, which every key folds in) turns all v2 entries
-// into misses after an incompatible change.
-const keyGeneration = 1
+// snapCodecVersion, which every key folds in) turns all v2 entries,
+// and the v1 design entries keyed through KeyParse, into misses after
+// an incompatible change. Generation 2: C switch dispatch (parse,
+// lowering, emitted Go) and priced instructions in table listings.
+const keyGeneration = 2
 
 // fph starts a phase-key hash, salted with the phase name and the key
 // and codec generations.

@@ -94,7 +94,11 @@ func (p *Preprocessor) expandString(name, content string) string {
 		trimmed := strings.TrimSpace(line)
 		if !strings.HasPrefix(trimmed, "#") {
 			if live() {
-				out.WriteString(p.substitute(line))
+				expanded, ok := p.substitute(line)
+				if !ok {
+					p.diags.Errorf(source.Pos{}, "%s: macro expansion of one line exceeds %d bytes", name, maxExpansion)
+				}
+				out.WriteString(expanded)
 			}
 			out.WriteByte('\n')
 			continue
@@ -200,19 +204,29 @@ func (p *Preprocessor) handleInclude(from, rest string, out *strings.Builder) {
 	p.depth--
 }
 
+// maxExpansion bounds the macro expansion of one line. Replacement is
+// iterated, so a macro whose body names itself k times multiplies the
+// line by k every round.
+const maxExpansion = 1 << 16
+
 // substitute performs iterated object-macro replacement on one line,
 // respecting identifier boundaries and skipping string/char literals
-// and comments.
-func (p *Preprocessor) substitute(line string) string {
+// and comments. It reports false, leaving the line unexpanded, when
+// the expansion outgrows maxExpansion.
+func (p *Preprocessor) substitute(line string) (string, bool) {
 	const maxRounds = 16
+	orig := line
 	for round := 0; round < maxRounds; round++ {
 		replaced, changed := p.substituteOnce(line)
+		if len(replaced) > maxExpansion {
+			return orig, false
+		}
 		if !changed {
-			return replaced
+			return replaced, true
 		}
 		line = replaced
 	}
-	return line
+	return line, true
 }
 
 func (p *Preprocessor) substituteOnce(line string) (string, bool) {
@@ -250,6 +264,9 @@ func (p *Preprocessor) substituteOnce(line string) (string, bool) {
 			if body, ok := p.macros[word]; ok {
 				out.WriteString(body)
 				changed = true
+				if out.Len() > maxExpansion {
+					return out.String(), true // the caller gives up
+				}
 			} else {
 				out.WriteString(word)
 			}

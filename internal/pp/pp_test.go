@@ -215,6 +215,19 @@ func TestRecursiveMacroTerminates(t *testing.T) {
 	}
 }
 
+// TestSelfMultiplyingMacroBounded: a macro naming itself twice doubles
+// the line every replacement round; the expansion stops at a bound
+// with an error instead of exhausting memory.
+func TestSelfMultiplyingMacroBounded(t *testing.T) {
+	out, diags := expand(t, "#define X (X X X X X X X X)\nint v = X;", nil)
+	if !diags.HasErrors() || !strings.Contains(diags.String(), "macro expansion") {
+		t.Errorf("want a macro-expansion error, got %q", diags.String())
+	}
+	if len(out) > maxExpansion {
+		t.Errorf("output is %d bytes", len(out))
+	}
+}
+
 func TestLineStructurePreserved(t *testing.T) {
 	src := "#define N 1\nint a = N;\nint b;\n"
 	out, diags := expand(t, src, nil)

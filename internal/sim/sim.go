@@ -22,6 +22,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/cval"
 	"repro/internal/efsm"
+	"repro/internal/efsm/table"
 	"repro/internal/kernel"
 	"repro/internal/lower"
 	"repro/internal/rtos"
@@ -125,42 +126,93 @@ func TopInstances(info *sem.Info, top string) ([]Instance, error) {
 // ---------------------------------------------------------------------------
 // Task adapter
 
-// efsmRunner adapts an EFSM runtime to the RTOS task interface,
-// translating between system-level wire signals and the module's own
-// interface signals.
-type efsmRunner struct {
-	rt *efsm.Runtime
-	// wireToIn maps system wires to the module's input signals.
-	wireToIn map[*kernel.Signal]*kernel.Signal
-	// outToWire maps the module's outputs to system wires.
-	outToWire map[*kernel.Signal]*kernel.Signal
+// tableRunner adapts a table-compiled EFSM to the RTOS task interface,
+// translating between system-level wire signals and the module's port
+// slots. The table machine's per-reaction cost is what the kernel
+// prices.
+type tableRunner struct {
+	em *efsm.Machine
+	m  *table.Machine
+	// wireToIn maps system wires to the module's input slots.
+	wireToIn map[*kernel.Signal]int
+	// outWire maps each output slot to its system wire (nil: unwired).
+	outWire []*kernel.Signal
+	// Reused slot vectors (see table.Machine.Step).
+	present []bool
+	in, out []cval.Value
 }
 
-// React implements rtos.Runner.
-func (e *efsmRunner) React(inputs map[*kernel.Signal]cval.Value) (*rtos.Reaction, error) {
-	local := make(map[*kernel.Signal]cval.Value, len(inputs))
-	for wire, val := range inputs {
-		if in, ok := e.wireToIn[wire]; ok {
-			local[in] = val
-		}
-	}
-	res, err := e.rt.Step(local)
+// newTableRunner compiles a task's EFSM into a fresh table program.
+// Table 1 builds new machines for every run, so the program is not
+// memoized (table.For would keep each run's design alive).
+func newTableRunner(em *efsm.Machine) (*tableRunner, error) {
+	prog, err := table.Compile(em)
 	if err != nil {
 		return nil, err
 	}
-	out := &rtos.Reaction{
-		Emitted: make(map[*kernel.Signal]cval.Value),
-		Depth:   res.Depth,
-		Units:   res.Units,
+	nIn, nOut := prog.NumInputs(), prog.NumOutputs()
+	out := make([]cval.Value, nOut)
+	for j, sig := range em.Outputs {
+		if !sig.Pure && sig.Type != nil {
+			out[j] = cval.New(sig.Type)
+		}
 	}
-	for sig, val := range res.Outputs {
-		wire := e.outToWire[sig]
-		if wire == nil {
+	return &tableRunner{
+		em:       em,
+		m:        table.New(prog),
+		wireToIn: map[*kernel.Signal]int{},
+		outWire:  make([]*kernel.Signal, nOut),
+		present:  make([]bool, nIn+nOut),
+		in:       make([]cval.Value, nIn),
+		out:      out,
+	}, nil
+}
+
+// wire connects the module's interface signal sig to a system wire.
+func (r *tableRunner) wire(sig, wire *kernel.Signal) {
+	for i, in := range r.em.Inputs {
+		if in == sig {
+			r.wireToIn[wire] = i
+		}
+	}
+	for j, out := range r.em.Outputs {
+		if out == sig {
+			r.outWire[j] = wire
+		}
+	}
+}
+
+// React implements rtos.Runner.
+func (r *tableRunner) React(inputs map[*kernel.Signal]cval.Value) (*rtos.Reaction, error) {
+	for i := range r.in {
+		r.present[i], r.in[i] = false, cval.Value{}
+	}
+	for wire, val := range inputs {
+		if i, ok := r.wireToIn[wire]; ok {
+			r.present[i], r.in[i] = true, val
+		}
+	}
+	if _, err := r.m.Step(r.present, r.in, r.out); err != nil {
+		return nil, err
+	}
+	units, depth := r.m.Cost()
+	res := &rtos.Reaction{
+		Emitted: make(map[*kernel.Signal]cval.Value),
+		Depth:   depth,
+		Units:   units,
+	}
+	nIn := len(r.in)
+	for j, wire := range r.outWire {
+		if wire == nil || !r.present[nIn+j] {
 			continue
 		}
-		out.Emitted[wire] = val
+		if v := r.out[j]; v.IsValid() {
+			res.Emitted[wire] = v.Clone()
+		} else {
+			res.Emitted[wire] = cval.Value{}
+		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -320,24 +372,22 @@ func BuildSync(info *sem.Info, top string, cfg Config) (System, error) {
 		inputs: map[string]*kernel.Signal{},
 		outs:   map[*kernel.Signal]string{},
 	}
-	rt := efsm.NewRuntime(em)
-	runner := &efsmRunner{
-		rt:        rt,
-		wireToIn:  map[*kernel.Signal]*kernel.Signal{},
-		outToWire: map[*kernel.Signal]*kernel.Signal{},
+	runner, err := newTableRunner(em)
+	if err != nil {
+		return nil, err
 	}
 	task := &rtos.Task{Name: top, Prio: 0, Run: runner}
 	for _, in := range res.Module.Inputs {
 		// The single task uses the module's own signals as wires.
 		s.wires[in.Name] = in
 		s.inputs[in.Name] = in
-		runner.wireToIn[in] = in
+		runner.wire(in, in)
 		task.Inputs = append(task.Inputs, in)
 	}
 	for _, out := range res.Module.Outputs {
 		s.wires[out.Name] = out
 		s.outs[out] = out.Name
-		runner.outToWire[out] = out
+		runner.wire(out, out)
 	}
 	s.kern.AddTask(task)
 	// A synchronous implementation reacts on every clock tick.
@@ -406,11 +456,9 @@ func BuildAsync(info *sem.Info, top string, cfg Config) (System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("instance %s: %w", inst.Module, err)
 		}
-		rt := efsm.NewRuntime(em)
-		runner := &efsmRunner{
-			rt:        rt,
-			wireToIn:  map[*kernel.Signal]*kernel.Signal{},
-			outToWire: map[*kernel.Signal]*kernel.Signal{},
+		runner, err := newTableRunner(em)
+		if err != nil {
+			return nil, fmt.Errorf("instance %s: %w", inst.Module, err)
 		}
 		task := &rtos.Task{Name: fmt.Sprintf("%s%d", inst.Module, prio+1), Prio: prio, Run: runner}
 		callee := info.Modules[inst.Module]
@@ -429,11 +477,9 @@ func BuildAsync(info *sem.Info, top string, cfg Config) (System, error) {
 			if local == nil {
 				return nil, fmt.Errorf("instance %s: interface signal %q missing after lowering", inst.Module, p.Name)
 			}
+			runner.wire(local, wire)
 			if p.Dir == ast.In {
-				runner.wireToIn[wire] = local
 				task.Inputs = append(task.Inputs, wire)
-			} else {
-				runner.outToWire[local] = wire
 			}
 		}
 		s.kern.AddTask(task)
