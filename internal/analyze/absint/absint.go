@@ -2,10 +2,11 @@
 // interval/constant dataflow engine over the compiled EFSM. It runs a
 // worklist fixpoint over (control state × abstract store), where the
 // store maps every variable and valued-signal slot to an integer
-// interval, and the transfer functions mirror internal/dataexec's C
-// semantics — int32/uint32 value spaces, truncating stores, the &31
-// shift mask, div-by-zero traps — so that anything the abstract
-// execution calls certain really happens on the concrete machine.
+// interval, and the transfer functions follow the C semantics of
+// internal/dataexec — int32/uint32 value spaces, truncating stores, the
+// &31 shift mask, div-by-zero traps — folding constants through cval's
+// kernel, so that anything the abstract execution calls certain really
+// happens on the concrete machine.
 //
 // The engine reports three things the rule layer turns into findings:
 //

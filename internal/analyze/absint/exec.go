@@ -1,8 +1,11 @@
 package absint
 
 import (
+	"errors"
+
 	"repro/internal/ast"
 	"repro/internal/ctypes"
+	"repro/internal/cval"
 	"repro/internal/kernel"
 	"repro/internal/sem"
 	"repro/internal/token"
@@ -678,29 +681,8 @@ func (it *Interp) evalAssign(b *kernel.Binding, e *ast.Assign) Val {
 		}
 		return Top()
 	}
-	var binOp token.Kind
-	switch e.Op {
-	case token.ADD_ASSIGN:
-		binOp = token.ADD
-	case token.SUB_ASSIGN:
-		binOp = token.SUB
-	case token.MUL_ASSIGN:
-		binOp = token.MUL
-	case token.QUO_ASSIGN:
-		binOp = token.QUO
-	case token.REM_ASSIGN:
-		binOp = token.REM
-	case token.AND_ASSIGN:
-		binOp = token.AND
-	case token.OR_ASSIGN:
-		binOp = token.OR
-	case token.XOR_ASSIGN:
-		binOp = token.XOR
-	case token.SHL_ASSIGN:
-		binOp = token.SHL
-	case token.SHR_ASSIGN:
-		binOp = token.SHR
-	default:
+	binOp, ok := e.Op.AssignBinOp()
+	if !ok {
 		it.writeRef(b, r, Top())
 		return Top()
 	}
@@ -835,13 +817,13 @@ func (it *Interp) evalCall(b *kernel.Binding, e *ast.Call) Val {
 // ---------------------------------------------------------------------------
 // Arithmetic
 
-// arith mirrors dataexec.arith over intervals: usual arithmetic
+// arith lifts dataexec.arith to intervals: usual arithmetic
 // conversions pick the signed int32 or unsigned uint32 value space,
-// constants compute exactly (including wraps), intervals compute the
-// exact mathematical hull and degrade to the full space on overflow.
-// Certain traps — div by provably-zero, shift count provably outside
-// 0..31, signed results that provably never fit — report through
-// OnTrap.
+// constants fold through cval's kernel (including wraps), intervals
+// compute the exact mathematical hull and degrade to the full space on
+// overflow. Certain traps — div by provably-zero, shift count provably
+// outside 0..31, signed results that provably never fit — report
+// through OnTrap.
 func (it *Interp) arith(op token.Kind, x, y Val, tx, ty ctypes.Type, origin ast.Expr) Val {
 	if x.IsBot() || y.IsBot() {
 		return Bot()
@@ -983,78 +965,28 @@ func (it *Interp) arith(op token.Kind, x, y Val, tx, ty ctypes.Type, origin ast.
 	return full
 }
 
-// constArith is the exact concrete mirror of dataexec.arith for two
-// known operands: int32 or uint32 Go arithmetic, wraps included.
+// constArith folds two known operands through cval's kernel,
+// wraps included, and reports the certain traps: a zero divisor, a
+// shift count outside 0..31, and a signed +, -, * or / whose exact
+// result does not fit.
 func (it *Interp) constArith(op token.Kind, cx, cy int64, unsigned bool, origin ast.Expr) Val {
-	if op == token.QUO || op == token.REM {
-		if cy == 0 {
-			it.trap(TrapDivZero, origin, "divisor is always 0")
-			return Top()
-		}
-	}
-	if op == token.SHL || op == token.SHR {
-		if cy < 0 || cy > 31 {
-			it.trap(TrapShift, origin, "shift count is always "+Const(cy).String())
-		}
-	}
+	sp := cval.Int32
 	if unsigned {
-		a, b := uint32(cx), uint32(cy)
-		var r uint32
-		switch op {
-		case token.ADD:
-			r = a + b
-		case token.SUB:
-			r = a - b
-		case token.MUL:
-			r = a * b
-		case token.QUO:
-			r = a / b
-		case token.REM:
-			r = a % b
-		case token.SHL:
-			r = a << (b & 31)
-		case token.SHR:
-			r = a >> (b & 31)
-		case token.AND:
-			r = a & b
-		case token.OR:
-			r = a | b
-		case token.XOR:
-			r = a ^ b
-		default:
-			return Top()
-		}
-		return Const(int64(r))
+		sp = cval.Uint32
 	}
-	a, b := int32(cx), int32(cy)
-	var r int32
-	var exact int64
-	arithOp := false
-	switch op {
-	case token.ADD:
-		r, exact, arithOp = a+b, cx+cy, true
-	case token.SUB:
-		r, exact, arithOp = a-b, cx-cy, true
-	case token.MUL:
-		r, exact, arithOp = a*b, cx*cy, true
-	case token.QUO:
-		r, exact, arithOp = a/b, cx/cy, true
-	case token.REM:
-		r = a % b
-	case token.SHL:
-		r = a << (uint32(b) & 31)
-	case token.SHR:
-		r = a >> (uint32(b) & 31)
-	case token.AND:
-		r = a & b
-	case token.OR:
-		r = a | b
-	case token.XOR:
-		r = a ^ b
-	default:
+	r, exact, _, err := cval.Binary(op, uint64(cx), sp, uint64(cy), sp)
+	if errors.Is(err, cval.ErrDivByZero) {
+		it.trap(TrapDivZero, origin, "divisor is always 0")
 		return Top()
 	}
-	if arithOp && int64(r) != exact {
+	if err != nil {
+		return Top()
+	}
+	if (op == token.SHL || op == token.SHR) && (cy < 0 || cy > 31) {
+		it.trap(TrapShift, origin, "shift count is always "+Const(cy).String())
+	}
+	// Bits a left shift drops are not reported as a wrap.
+	if !unsigned && op != token.SHL && int64(r) != exact {
 		it.trap(TrapWrap, origin, "exact result is "+Const(exact).String())
 	}
 	return Const(int64(r))

@@ -110,7 +110,7 @@ func (g *cgen) userFunctions() {
 		if len(params) == 0 {
 			params = []string{"void"}
 		}
-		fmt.Fprintf(&g.b, "static %s %s(%s)\n", cTypeName(fi.Ret), fname, strings.Join(params, ", "))
+		fmt.Fprintf(&g.b, "static %s %s(%s)\n", CTypeName(fi.Ret), fname, strings.Join(params, ", "))
 		g.funcBody(fi)
 	}
 }
@@ -361,6 +361,11 @@ func (g *cgen) expr(b *kernel.Binding, e ast.Expr) string {
 	case *ast.Paren:
 		return "(" + g.expr(b, e.X) + ")"
 	case *ast.Unary:
+		if e.Op == token.TILDE && g.m.Info.TypeOf(e.X) == ctypes.Bool {
+			// ECL's ~ on a bool is logical negation (Figure 3's
+			// "if (~crc_ok)"); C's ~ would make it always true.
+			return "!" + g.expr(b, e.X)
+		}
 		return e.Op.String() + g.expr(b, e.X)
 	case *ast.Postfix:
 		return g.expr(b, e.X) + e.Op.String()
@@ -390,12 +395,13 @@ func (g *cgen) expr(b *kernel.Binding, e ast.Expr) string {
 	case *ast.Cast:
 		t := g.m.Info.TypeOfExpr[e.Type]
 		if t != nil {
-			// The array-reinterpret idiom needs explicit bytes in C.
+			// The array-reinterpret idiom needs explicit bytes in C:
+			// the leading ones, never more than the array holds.
 			if xt := g.m.Info.TypeOf(e.X); xt != nil && xt.Kind() == ctypes.KindArray {
-				return fmt.Sprintf("ecl_ld_be((const unsigned char *)%s, sizeof(%s))",
-					g.expr(b, e.X), cTypeName(t))
+				return fmt.Sprintf("ecl_ld_be((const unsigned char *)%s, %d)",
+					g.expr(b, e.X), min(t.Size(), xt.Size()))
 			}
-			return fmt.Sprintf("(%s) %s", cTypeName(t), g.expr(b, e.X))
+			return fmt.Sprintf("(%s) %s", CTypeName(t), g.expr(b, e.X))
 		}
 		return g.expr(b, e.X)
 	case *ast.SizeofExpr:

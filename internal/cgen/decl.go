@@ -38,13 +38,16 @@ func cDecl(name string, t ctypes.Type) string {
 		dims += fmt.Sprintf("[%d]", at.Len)
 		base = at.Elem
 	}
-	return fmt.Sprintf("%s %s%s", cTypeName(base), name, dims)
+	return fmt.Sprintf("%s %s%s", CTypeName(base), name, dims)
 }
 
-// cTypeName renders a non-array type as C source. Anonymous struct
-// and union types print inline.
-func cTypeName(t ctypes.Type) string {
+// CTypeName renders a non-array type as C source. Anonymous struct
+// and union types print inline. ECL's bool is C99's _Bool, whose
+// stores normalize to 0 or 1 as cval's do.
+func CTypeName(t ctypes.Type) string {
 	switch t := t.(type) {
+	case *ctypes.BoolType:
+		return "_Bool"
 	case *ctypes.StructType:
 		kw := "struct"
 		if t.Union {
@@ -62,7 +65,7 @@ func cTypeName(t ctypes.Type) string {
 	case *ctypes.EnumType:
 		return "int"
 	case *ctypes.PointerType:
-		return cTypeName(t.Elem) + " *"
+		return CTypeName(t.Elem) + " *"
 	default:
 		return t.String()
 	}

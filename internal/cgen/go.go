@@ -610,29 +610,8 @@ func (g *gogen) compileAssign(b *kernel.Binding, e *ast.Assign) error {
 		return g.assignToLV(lv, lt, b, e.RHS)
 	}
 	// Compound assignment: expand to lhs = lhs OP rhs.
-	var binOp token.Kind
-	switch e.Op {
-	case token.ADD_ASSIGN:
-		binOp = token.ADD
-	case token.SUB_ASSIGN:
-		binOp = token.SUB
-	case token.MUL_ASSIGN:
-		binOp = token.MUL
-	case token.QUO_ASSIGN:
-		binOp = token.QUO
-	case token.REM_ASSIGN:
-		binOp = token.REM
-	case token.AND_ASSIGN:
-		binOp = token.AND
-	case token.OR_ASSIGN:
-		binOp = token.OR
-	case token.XOR_ASSIGN:
-		binOp = token.XOR
-	case token.SHL_ASSIGN:
-		binOp = token.SHL
-	case token.SHR_ASSIGN:
-		binOp = token.SHR
-	default:
+	binOp, ok := e.Op.AssignBinOp()
+	if !ok {
 		return fmt.Errorf("unsupported assignment operator %q", e.Op)
 	}
 	expanded := &ast.Assign{LHS: e.LHS, Op: token.ASSIGN, RHS: &ast.Binary{X: e.LHS, Op: binOp, Y: e.RHS}}

@@ -13,9 +13,10 @@ import (
 
 // This file compiles C expressions to Go expressions over the
 // byte-backed storage. Every value expression compiles to an int64
-// Go expression that holds the C value sign- or zero-extended, exactly
-// matching internal/dataexec's semantics (int32/uint32 arithmetic,
-// big-endian aggregate layout).
+// Go expression that holds the C value sign- or zero-extended. The
+// generated code must run standalone, so it spells out its own
+// operators; the edge-value conformance table pins them to cval's
+// kernel (int32/uint32 arithmetic, big-endian aggregate layout).
 
 func (g *gogen) varSlot(b *kernel.Binding, vi *sem.VarInfo) (string, ctypes.Type, error) {
 	kv := b.Vars[vi]
@@ -188,20 +189,8 @@ func (g *gogen) expr(b *kernel.Binding, e ast.Expr) (string, error) {
 		if to == nil {
 			return "", fmt.Errorf("unresolved cast type")
 		}
-		xt := g.info.TypeOf(e.X)
-		if xt != nil && xt.Kind() == ctypes.KindArray {
-			// Array-to-integer reinterpretation: big-endian leading
-			// bytes, right-aligned in the target.
-			at := xt.(*ctypes.ArrayType)
-			lv, err := g.lvalue(b, e.X)
-			if err != nil {
-				return "", err
-			}
-			n := to.Size()
-			if at.Size() < n {
-				n = at.Size()
-			}
-			return g.truncFor(to, fmt.Sprintf("ldu((%s)[:%d])", lv, n)), nil
+		if xt := g.info.TypeOf(e.X); xt != nil && xt.Kind() == ctypes.KindArray {
+			return g.reinterpret(b, e.X, to)
 		}
 		x, err := g.expr(b, e.X)
 		if err != nil {
@@ -272,42 +261,13 @@ func (g *gogen) binary(b *kernel.Binding, e *ast.Binary) (string, error) {
 		return fmt.Sprintf("b2i((%s) != 0 %s (%s) != 0)", x, op, y), nil
 	}
 
-	x, err := g.expr(b, e.X)
+	x, xt, err := g.operand(b, e.X, e.Y)
 	if err != nil {
 		return "", err
 	}
-	y, err := g.expr(b, e.Y)
+	y, yt, err := g.operand(b, e.Y, e.X)
 	if err != nil {
 		return "", err
-	}
-	xt := g.info.TypeOf(e.X)
-	yt := g.info.TypeOf(e.Y)
-	// Array operands in comparisons reinterpret as integers (already
-	// loaded as int64 by expr through the cast path); here they appear
-	// directly, so reinterpret via lvalue.
-	if xt != nil && xt.Kind() == ctypes.KindArray {
-		lv, lerr := g.lvalue(b, e.X)
-		if lerr != nil {
-			return "", lerr
-		}
-		n := 4
-		if xt.Size() < n {
-			n = xt.Size()
-		}
-		x = fmt.Sprintf("ldu((%s)[:%d])", lv, n)
-		xt = ctypes.UInt
-	}
-	if yt != nil && yt.Kind() == ctypes.KindArray {
-		lv, lerr := g.lvalue(b, e.Y)
-		if lerr != nil {
-			return "", lerr
-		}
-		n := 4
-		if yt.Size() < n {
-			n = yt.Size()
-		}
-		y = fmt.Sprintf("ldu((%s)[:%d])", lv, n)
-		yt = ctypes.UInt
 	}
 	var common ctypes.Type = ctypes.Int
 	if xt != nil && yt != nil && ctypes.IsArithmetic(xt) && ctypes.IsArithmetic(yt) {
@@ -378,6 +338,31 @@ func (g *gogen) binary(b *kernel.Binding, e *ast.Binary) (string, error) {
 		}
 		return fmt.Sprintf("w32s(int64(int32(%s) %s int32(%s)))", x, op, y), nil
 	}
+}
+
+// operand compiles e as one side of a binary operator against other,
+// returning its text and type. A byte array compared against an
+// integer reads as that integer's promoted type (the Figure 2 idiom).
+func (g *gogen) operand(b *kernel.Binding, e, other ast.Expr) (string, ctypes.Type, error) {
+	t, ot := g.info.TypeOf(e), g.info.TypeOf(other)
+	if t != nil && t.Kind() == ctypes.KindArray && ot != nil && ctypes.IsInteger(ot) {
+		to := ctypes.Promote(ot)
+		x, err := g.reinterpret(b, e, to)
+		return x, to, err
+	}
+	x, err := g.expr(b, e)
+	return x, t, err
+}
+
+// reinterpret loads byte array e as an integer of type to: its leading
+// bytes, right-aligned in the target, as cval.Convert reads them.
+func (g *gogen) reinterpret(b *kernel.Binding, e ast.Expr, to ctypes.Type) (string, error) {
+	lv, err := g.lvalue(b, e)
+	if err != nil {
+		return "", err
+	}
+	n := min(to.Size(), g.info.TypeOf(e).Size())
+	return g.truncFor(to, fmt.Sprintf("ldu((%s)[:%d])", lv, n)), nil
 }
 
 func (g *gogen) wrap(t ctypes.Type, v string) string {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/compile"
 	"repro/internal/cost"
+	"repro/internal/ctypes"
 	"repro/internal/efsm"
 	"repro/internal/efsm/table"
 	"repro/internal/hdl"
@@ -145,7 +146,7 @@ func (d *Design) GlueText() string {
 			continue
 		}
 		cn := strings.NewReplacer(".", "_", "-", "_").Replace(s.Name)
-		fmt.Fprintf(&b, "%s *ecl_sigval_%s(void);\n", cTypeSpelling(s.Type.String()), cn)
+		fmt.Fprintf(&b, "%s *ecl_sigval_%s(void);\n", cTypeSpelling(s.Type), cn)
 	}
 	for _, f := range d.Lowered.Module.Funcs {
 		fmt.Fprintf(&b, "void %s(void);\n", strings.NewReplacer(".", "_").Replace(f.Name))
@@ -153,8 +154,11 @@ func (d *Design) GlueText() string {
 	return b.String()
 }
 
-func cTypeSpelling(s string) string {
-	// Anonymous aggregates cannot appear in a prototype; alias them.
+// cTypeSpelling spells a signal's value type as the generated C
+// declares it. The C prints aggregates inline, and an inline aggregate
+// cannot appear in a prototype, so those become void.
+func cTypeSpelling(t ctypes.Type) string {
+	s := cgen.CTypeName(t)
 	if strings.HasPrefix(s, "struct {") || strings.HasPrefix(s, "union {") {
 		return "void"
 	}

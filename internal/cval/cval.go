@@ -66,67 +66,40 @@ func FromBool(b bool) Value {
 // Int reads an integer-like scalar (int, char, bool, enum), applying
 // sign extension for signed types.
 func (v Value) Int() int64 {
-	var u uint64
-	for _, b := range v.B {
-		u = u<<8 | uint64(b)
-	}
-	n := len(v.B)
-	if n == 0 {
-		return 0
-	}
-	if signedType(v.Type) {
-		shift := uint(64 - 8*n)
-		return int64(u<<shift) >> shift
-	}
-	return int64(u)
+	return int64(Layout{Size: len(v.B), Signed: signedType(v.Type)}.Load(v.B))
 }
 
 // Uint reads the scalar as unsigned.
-func (v Value) Uint() uint64 {
-	var u uint64
-	for _, b := range v.B {
-		u = u<<8 | uint64(b)
-	}
-	return u
-}
+func (v Value) Uint() uint64 { return Layout{Size: len(v.B)}.Load(v.B) }
 
 // SetInt stores x truncated to the value's width, big-endian.
-func (v Value) SetInt(x int64) {
-	u := uint64(x)
-	for i := len(v.B) - 1; i >= 0; i-- {
-		v.B[i] = byte(u)
-		u >>= 8
-	}
-}
+func (v Value) SetInt(x int64) { Layout{}.Store(v.B, uint64(x)) }
 
 // Float reads a float or double scalar.
 func (v Value) Float() float64 {
-	switch v.Type {
-	case ctypes.Float:
-		return float64(math.Float32frombits(uint32(v.Uint())))
-	case ctypes.Double:
-		return math.Float64frombits(v.Uint())
+	if v.Type.Kind() == ctypes.KindFloat {
+		return math.Float64frombits(LayoutOf(v.Type).Load(v.B))
 	}
 	return float64(v.Int())
 }
 
 // SetFloat stores a float or double scalar.
 func (v Value) SetFloat(x float64) {
-	switch v.Type {
-	case ctypes.Float:
-		v.setUint(uint64(math.Float32bits(float32(x))))
-	case ctypes.Double:
-		v.setUint(math.Float64bits(x))
-	default:
-		v.SetInt(int64(x))
+	if v.Type.Kind() == ctypes.KindFloat {
+		LayoutOf(v.Type).Store(v.B, math.Float64bits(x))
+		return
 	}
+	v.SetInt(int64(x))
 }
 
-func (v Value) setUint(u uint64) {
-	for i := len(v.B) - 1; i >= 0; i-- {
-		v.B[i] = byte(u)
-		u >>= 8
-	}
+// Bits returns the scalar in the kernel's normalized form (see Space).
+func (v Value) Bits() uint64 { return LayoutOf(v.Type).Load(v.B) }
+
+// FromBits builds a value of scalar type t from normalized bits.
+func FromBits(t ctypes.Type, bits uint64) Value {
+	v := New(t)
+	LayoutOf(t).Store(v.B, bits)
+	return v
 }
 
 // Bool reports whether the scalar is non-zero (any byte set, which for

@@ -571,29 +571,8 @@ func (ev *Evaluator) evalAssign(b *kernel.Binding, e *ast.Assign) (cval.Value, e
 		}
 		return dst, nil
 	}
-	var binOp token.Kind
-	switch e.Op {
-	case token.ADD_ASSIGN:
-		binOp = token.ADD
-	case token.SUB_ASSIGN:
-		binOp = token.SUB
-	case token.MUL_ASSIGN:
-		binOp = token.MUL
-	case token.QUO_ASSIGN:
-		binOp = token.QUO
-	case token.REM_ASSIGN:
-		binOp = token.REM
-	case token.AND_ASSIGN:
-		binOp = token.AND
-	case token.OR_ASSIGN:
-		binOp = token.OR
-	case token.XOR_ASSIGN:
-		binOp = token.XOR
-	case token.SHL_ASSIGN:
-		binOp = token.SHL
-	case token.SHR_ASSIGN:
-		binOp = token.SHR
-	default:
+	binOp, ok := e.Op.AssignBinOp()
+	if !ok {
 		return cval.Value{}, fmt.Errorf("unsupported assignment operator %q", e.Op)
 	}
 	res, err := arith(binOp, dst.Clone(), src)
@@ -651,11 +630,10 @@ func (ev *Evaluator) evalBinary(b *kernel.Binding, e *ast.Binary) (cval.Value, e
 	return arith(e.Op, x, y)
 }
 
-// arith applies a C binary operator with the usual conversions.
-// Comparing an integer against a byte array reinterprets the array
-// (the Figure 2 idiom).
+// arith applies a C binary operator through cval's scalar kernel.
+// Comparing an integer against a byte array reinterprets the array as
+// the integer's promoted type (the Figure 2 idiom).
 func arith(op token.Kind, x, y cval.Value) (cval.Value, error) {
-	// Array operand in a comparison: reinterpret as the other side's type.
 	if x.Type.Kind() == ctypes.KindArray {
 		conv, err := cval.Convert(x, promoteFor(y.Type))
 		if err != nil {
@@ -670,124 +648,11 @@ func arith(op token.Kind, x, y cval.Value) (cval.Value, error) {
 		}
 		y = conv
 	}
-	common := ctypes.UsualArithmetic(x.Type, y.Type)
-	if common.Kind() == ctypes.KindFloat {
-		a, bf := x.Float(), y.Float()
-		switch op {
-		case token.ADD:
-			return cval.FromFloat(common, a+bf), nil
-		case token.SUB:
-			return cval.FromFloat(common, a-bf), nil
-		case token.MUL:
-			return cval.FromFloat(common, a*bf), nil
-		case token.QUO:
-			if bf == 0 {
-				return cval.Value{}, fmt.Errorf("floating division by zero")
-			}
-			return cval.FromFloat(common, a/bf), nil
-		case token.EQL:
-			return cval.FromInt(ctypes.Int, b2i(a == bf)), nil
-		case token.NEQ:
-			return cval.FromInt(ctypes.Int, b2i(a != bf)), nil
-		case token.LSS:
-			return cval.FromInt(ctypes.Int, b2i(a < bf)), nil
-		case token.GTR:
-			return cval.FromInt(ctypes.Int, b2i(a > bf)), nil
-		case token.LEQ:
-			return cval.FromInt(ctypes.Int, b2i(a <= bf)), nil
-		case token.GEQ:
-			return cval.FromInt(ctypes.Int, b2i(a >= bf)), nil
-		}
-		return cval.Value{}, fmt.Errorf("operator %q not defined on floats", op)
+	bits, _, sp, err := cval.Binary(op, x.Bits(), cval.SpaceOf(x.Type), y.Bits(), cval.SpaceOf(y.Type))
+	if err != nil {
+		return cval.Value{}, err
 	}
-
-	if ctypes.IsUnsigned(common) {
-		a, bu := uint32(x.Int()), uint32(y.Int())
-		switch op {
-		case token.ADD:
-			return cval.FromInt(common, int64(a+bu)), nil
-		case token.SUB:
-			return cval.FromInt(common, int64(a-bu)), nil
-		case token.MUL:
-			return cval.FromInt(common, int64(a*bu)), nil
-		case token.QUO:
-			if bu == 0 {
-				return cval.Value{}, fmt.Errorf("division by zero")
-			}
-			return cval.FromInt(common, int64(a/bu)), nil
-		case token.REM:
-			if bu == 0 {
-				return cval.Value{}, fmt.Errorf("division by zero")
-			}
-			return cval.FromInt(common, int64(a%bu)), nil
-		case token.SHL:
-			return cval.FromInt(common, int64(a<<(bu&31))), nil
-		case token.SHR:
-			return cval.FromInt(common, int64(a>>(bu&31))), nil
-		case token.AND:
-			return cval.FromInt(common, int64(a&bu)), nil
-		case token.OR:
-			return cval.FromInt(common, int64(a|bu)), nil
-		case token.XOR:
-			return cval.FromInt(common, int64(a^bu)), nil
-		case token.EQL:
-			return cval.FromInt(ctypes.Int, b2i(a == bu)), nil
-		case token.NEQ:
-			return cval.FromInt(ctypes.Int, b2i(a != bu)), nil
-		case token.LSS:
-			return cval.FromInt(ctypes.Int, b2i(a < bu)), nil
-		case token.GTR:
-			return cval.FromInt(ctypes.Int, b2i(a > bu)), nil
-		case token.LEQ:
-			return cval.FromInt(ctypes.Int, b2i(a <= bu)), nil
-		case token.GEQ:
-			return cval.FromInt(ctypes.Int, b2i(a >= bu)), nil
-		}
-		return cval.Value{}, fmt.Errorf("unsupported operator %q", op)
-	}
-
-	a, bi := int32(x.Int()), int32(y.Int())
-	switch op {
-	case token.ADD:
-		return cval.FromInt(common, int64(a+bi)), nil
-	case token.SUB:
-		return cval.FromInt(common, int64(a-bi)), nil
-	case token.MUL:
-		return cval.FromInt(common, int64(a*bi)), nil
-	case token.QUO:
-		if bi == 0 {
-			return cval.Value{}, fmt.Errorf("division by zero")
-		}
-		return cval.FromInt(common, int64(a/bi)), nil
-	case token.REM:
-		if bi == 0 {
-			return cval.Value{}, fmt.Errorf("division by zero")
-		}
-		return cval.FromInt(common, int64(a%bi)), nil
-	case token.SHL:
-		return cval.FromInt(common, int64(a<<(uint32(bi)&31))), nil
-	case token.SHR:
-		return cval.FromInt(common, int64(a>>(uint32(bi)&31))), nil
-	case token.AND:
-		return cval.FromInt(common, int64(a&bi)), nil
-	case token.OR:
-		return cval.FromInt(common, int64(a|bi)), nil
-	case token.XOR:
-		return cval.FromInt(common, int64(a^bi)), nil
-	case token.EQL:
-		return cval.FromInt(ctypes.Int, b2i(a == bi)), nil
-	case token.NEQ:
-		return cval.FromInt(ctypes.Int, b2i(a != bi)), nil
-	case token.LSS:
-		return cval.FromInt(ctypes.Int, b2i(a < bi)), nil
-	case token.GTR:
-		return cval.FromInt(ctypes.Int, b2i(a > bi)), nil
-	case token.LEQ:
-		return cval.FromInt(ctypes.Int, b2i(a <= bi)), nil
-	case token.GEQ:
-		return cval.FromInt(ctypes.Int, b2i(a >= bi)), nil
-	}
-	return cval.Value{}, fmt.Errorf("unsupported operator %q", op)
+	return cval.FromBits(sp.Type(), bits), nil
 }
 
 func promoteFor(t ctypes.Type) ctypes.Type {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/cval"
 	"repro/internal/efsm"
 	"repro/internal/kernel"
 	"repro/internal/sem"
@@ -164,7 +165,7 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 				c.exprErr("bad float literal %q", e.Value)
 				return
 			}
-			c.charge(c.pushFloat(c.p.tDouble, f), 1)
+			c.charge(c.pushFloat(c.p.spaceTyp[cval.Float64], f), 1)
 		default:
 			c.exprErr("unsupported literal %q", e.Value)
 		}
@@ -193,7 +194,7 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 			c.charge(c.emit(opAssign, 0, 0), units)
 			return
 		}
-		binOp, ok := assignBinOp(e.Op)
+		binOp, ok := e.Op.AssignBinOp()
 		if !ok {
 			c.emitErr("unsupported assignment operator %q", e.Op)
 			c.adj(-1)
@@ -251,7 +252,7 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 				c.exprErr("unresolved sizeof type")
 				return
 			}
-			c.charge(c.pushInt(c.p.tUint, int64(t.Size())), 1)
+			c.charge(c.pushInt(c.p.spaceTyp[cval.Uint32], int64(t.Size())), 1)
 			return
 		}
 		t := c.info.TypeOf(e.X)
@@ -259,7 +260,7 @@ func (c *compiler) expr(cx ectx, e ast.Expr) {
 			c.exprErr("unresolved sizeof operand")
 			return
 		}
-		c.charge(c.pushInt(c.p.tUint, int64(t.Size())), 1)
+		c.charge(c.pushInt(c.p.spaceTyp[cval.Uint32], int64(t.Size())), 1)
 
 	default:
 		c.exprErr("cannot evaluate %T", e)
@@ -414,32 +415,6 @@ func (c *compiler) binary(cx ectx, e *ast.Binary) {
 		c.expr(cx, e.Y)
 		c.charge(c.emit(opBinary, int32(e.Op), 0), 1)
 	}
-}
-
-func assignBinOp(op token.Kind) (token.Kind, bool) {
-	switch op {
-	case token.ADD_ASSIGN:
-		return token.ADD, true
-	case token.SUB_ASSIGN:
-		return token.SUB, true
-	case token.MUL_ASSIGN:
-		return token.MUL, true
-	case token.QUO_ASSIGN:
-		return token.QUO, true
-	case token.REM_ASSIGN:
-		return token.REM, true
-	case token.AND_ASSIGN:
-		return token.AND, true
-	case token.OR_ASSIGN:
-		return token.OR, true
-	case token.XOR_ASSIGN:
-		return token.XOR, true
-	case token.SHL_ASSIGN:
-		return token.SHL, true
-	case token.SHR_ASSIGN:
-		return token.SHR, true
-	}
-	return 0, false
 }
 
 func (c *compiler) call(cx ectx, e *ast.Call) {

@@ -2,8 +2,10 @@ package table
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ctypes"
+	"repro/internal/cval"
 	"repro/internal/efsm"
 	"repro/internal/kernel"
 	"repro/internal/sem"
@@ -17,8 +19,9 @@ import (
 //     cannot run compiles to an opError that fires exactly where (and
 //     only when) the interpreter would have failed, so a table machine
 //     always Opens and diverges from the oracle on no input.
-//   - Semantics mirror internal/dataexec operation for operation,
-//     including evaluation order around errors (argument side effects
+//   - Semantics mirror internal/dataexec operation for operation (the
+//     scalar operators are cval's kernel in both), including
+//     evaluation order around errors (argument side effects
 //     before an arity error, operand side effects before an
 //     unsupported-operator error, and so on).
 
@@ -114,10 +117,10 @@ func Compile(em *efsm.Machine) (*Program, error) {
 	}
 	p.tVoid, _ = c.intern(ctypes.Void)
 	p.tBool, _ = c.intern(ctypes.Bool)
-	p.tInt, _ = c.intern(ctypes.Int)
-	p.tUint, _ = c.intern(ctypes.UInt)
-	p.tFloat, _ = c.intern(ctypes.Float)
-	p.tDouble, _ = c.intern(ctypes.Double)
+	for sp := range p.spaceTyp {
+		p.spaceTyp[sp], _ = c.intern(cval.Space(sp).Type())
+	}
+	p.tInt = p.spaceTyp[cval.Int32]
 	c.tChar, _ = c.intern(ctypes.Char)
 
 	// Arena layout: module variables, then valued-signal stores.
@@ -264,7 +267,7 @@ func (c *compiler) intern(ct ctypes.Type) (int32, bool) {
 			return int32(i), true
 		}
 	}
-	t := typ{elem: -1, size: int32(ct.Size()), ct: ct}
+	t := typ{elem: -1, size: int32(ct.Size()), sp: cval.SpaceOf(ct), ct: ct}
 	switch ct.Kind() {
 	case ctypes.KindVoid:
 		t.kind = kVoid
@@ -362,13 +365,11 @@ func (c *compiler) patchA(at, target int32) { c.p.code[at].a = target }
 func (c *compiler) patchB(at, target int32) { c.p.code[at].b = target }
 
 func (c *compiler) pushInt(ti int32, v int64) int32 {
-	r := c.p.immInt(ti, v)
-	return c.emitImm(opPushImm, 0, ti, r.bits)
+	return c.emitImm(opPushImm, 0, ti, c.p.imm(ti, uint64(v)).bits)
 }
 
 func (c *compiler) pushFloat(ti int32, f float64) int32 {
-	r := c.p.immFloat(ti, f)
-	return c.emitImm(opPushImm, 0, ti, r.bits)
+	return c.emitImm(opPushImm, 0, ti, c.p.imm(ti, math.Float64bits(f)).bits)
 }
 
 // emitErr emits a deferred runtime error at the current pc.

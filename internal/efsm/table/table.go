@@ -17,10 +17,14 @@
 //   - signal I/O is slot-indexed: Step takes a presence vector and
 //     value arrays positioned by port slot, never a map.
 //
-// The VM mirrors internal/dataexec's semantics operation for operation
-// (int32/uint32 wrapping arithmetic, &31 shifts, division-by-zero
-// errors, byte-test truth, the Figure 2 array-reinterpret idiom), so a
-// table machine is trace-identical with the interpreting backends; the
+// C's scalar semantics (the space each operator computes in, int32 and
+// uint32 wrapping, &31 shifts, division-by-zero errors, big-endian
+// loads and stores) come from cval's kernel, which dataexec calls too.
+// Every interned type descriptor records the space it computes in, and
+// its kernel layout follows from its kind and width, so the step path
+// never asks ctypes. The VM mirrors dataexec for the rest (byte-test
+// truth, the Figure 2 array-reinterpret idiom, errors), so a table
+// machine is trace-identical with the interpreting backends; the
 // conformance and fuzz suites enforce that. The steady-state Step path
 // performs no allocations: all failures take the (allocating) error
 // path, and everything else runs over preallocated storage.
@@ -34,6 +38,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/ctypes"
@@ -64,11 +69,18 @@ const (
 // index equality is type identity.
 type typ struct {
 	kind   vkind
+	sp     cval.Space // the space it computes in as an operand
 	size   int32
 	elem   int32 // arrays: element type index (-1 otherwise)
 	alen   int32 // arrays: length
 	fields []fieldDesc
 	ct     ctypes.Type // original type (compile-time and I/O conversions)
+}
+
+// layout is how a value of the type sits in its bytes, for cval's
+// kernel.
+func (t *typ) layout() cval.Layout {
+	return cval.Layout{Size: int(t.size), Float: t.kind == kFloat, Signed: t.kind == kInt}
 }
 
 // fieldDesc is one struct/union member.
@@ -142,7 +154,8 @@ type Program struct {
 
 	// Interned indices of the predeclared scalar types (arithmetic
 	// results and promotions resolve to these without lookups).
-	tInt, tUint, tFloat, tDouble, tBool, tVoid int32
+	tInt, tBool, tVoid int32
+	spaceTyp           [4]int32 // result type per cval.Space
 
 	vars  []slotMeta
 	sigs  []slotMeta
@@ -297,11 +310,7 @@ func (m *Machine) assignValue(ti, off int32, slotType ctypes.Type, v cval.Value)
 		if !ctypes.IsArithmetic(v.Type) {
 			return fmt.Errorf("cannot assign %s to %s", v.Type, slotType)
 		}
-		if v.Type.Kind() == ctypes.KindFloat {
-			m.writeFloat(t, off, v.Float())
-		} else {
-			m.writeFloat(t, off, float64(v.Int()))
-		}
+		m.store(t, off, math.Float64bits(v.Float()))
 		return nil
 	case kBool:
 		if !ctypes.IsArithmetic(v.Type) {
@@ -329,9 +338,9 @@ func (m *Machine) assignValue(ti, off int32, slotType ctypes.Type, v cval.Value)
 			return fmt.Errorf("cannot assign %s to %s", v.Type, slotType)
 		}
 		if v.Type.Kind() == ctypes.KindFloat {
-			m.writeInt(t, off, int64(v.Float()))
+			m.store(t, off, uint64(int64(v.Float())))
 		} else {
-			m.writeInt(t, off, v.Int())
+			m.store(t, off, uint64(v.Int()))
 		}
 		return nil
 	}

@@ -8,9 +8,11 @@ import (
 	"repro/internal/token"
 )
 
-// The VM mirrors internal/dataexec operation for operation. Every
-// comment of the form "mirrors X" names the dataexec/cval behaviour
-// the instruction reproduces; divergence there is a conformance bug.
+// The VM computes C's scalar operators through cval's kernel
+// (internal/cval/arith.go), the same code dataexec calls, and mirrors
+// dataexec operation for operation everywhere else. Every comment of
+// the form "mirrors X" names the dataexec/cval behaviour the
+// instruction reproduces; divergence there is a conformance bug.
 
 // maxCallDepth bounds the C call stack (mirrors dataexec's 64-frame
 // limit).
@@ -112,53 +114,29 @@ type ref struct {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar access helpers (mirror cval.Value accessors)
+// Scalar access (through cval's kernel)
 
-// readInt mirrors cval.Value.Int: big-endian byte read with sign
-// extension for signed integer types only. Immediates are already
-// normalized, so the payload is the answer.
-func (m *Machine) readInt(r ref) int64 {
+// val returns a scalar ref in the kernel's normalized form: immediates
+// carry it, views load it from the arena with their type's layout.
+func (m *Machine) val(r ref) uint64 {
 	if r.off < 0 {
-		return int64(r.bits)
+		return r.bits
 	}
-	t := &m.p.types[r.typ]
-	var u uint64
-	for _, b := range m.arena[r.off : r.off+t.size] {
-		u = u<<8 | uint64(b)
-	}
-	if t.size == 0 {
-		return 0
-	}
-	if t.kind == kInt {
-		shift := uint(64 - 8*t.size)
-		return int64(u<<shift) >> shift
-	}
-	return int64(u)
+	return m.load(r)
 }
 
-// readFloat decodes a kFloat ref.
-func (m *Machine) readFloat(r ref) float64 {
-	if r.off < 0 {
-		return math.Float64frombits(r.bits)
-	}
+func (m *Machine) load(r ref) uint64 {
 	t := &m.p.types[r.typ]
-	var u uint64
-	for _, b := range m.arena[r.off : r.off+t.size] {
-		u = u<<8 | uint64(b)
-	}
-	if t.size == 4 {
-		return float64(math.Float32frombits(uint32(u)))
-	}
-	return math.Float64frombits(u)
+	return t.layout().Load(m.arena[r.off : r.off+t.size])
 }
 
 // toFloat mirrors cval.Value.Float: floats decode, everything else
-// goes through the integer read.
+// converts its integer value.
 func (m *Machine) toFloat(r ref) float64 {
 	if m.p.types[r.typ].kind == kFloat {
-		return m.readFloat(r)
+		return math.Float64frombits(m.val(r))
 	}
-	return float64(m.readInt(r))
+	return float64(int64(m.val(r)))
 }
 
 // truth mirrors cval.Value.Bool: any byte set. Normalized immediates
@@ -177,80 +155,17 @@ func (m *Machine) truth(r ref) bool {
 	return false
 }
 
-// immInt builds a normalized integer immediate of type ti: the value
-// truncated to the type's width, then read back with the type's
-// signedness (mirrors cval.FromInt followed by Int).
-func (p *Program) immInt(ti int32, v int64) ref {
-	t := &p.types[ti]
-	u := uint64(v)
-	if t.size < 8 {
-		u &= 1<<(8*uint(t.size)) - 1
-		if t.kind == kInt {
-			shift := uint(64 - 8*t.size)
-			u = uint64(int64(u<<shift) >> shift)
-		}
-	}
-	return ref{typ: ti, off: -1, bits: u}
+// imm builds an immediate of type ti from a value in normalized form,
+// truncating an integer to the type's width and rounding a float
+// (mirrors cval.FromBits followed by Bits).
+func (p *Program) imm(ti int32, bits uint64) ref {
+	return ref{typ: ti, off: -1, bits: p.types[ti].layout().Norm(bits)}
 }
 
-// immFloat builds a float immediate, rounding through float32 for
-// 4-byte floats (mirrors cval.FromFloat storage).
-func (p *Program) immFloat(ti int32, f float64) ref {
-	if p.types[ti].size == 4 {
-		f = float64(float32(f))
-	}
-	return ref{typ: ti, off: -1, bits: math.Float64bits(f)}
-}
-
-// immFromView materializes a scalar view as an immediate of the same
-// type (the value survives frame teardown; mirrors cval.Value.Clone
-// for scalars).
-func (m *Machine) immFromView(r ref) ref {
-	t := &m.p.types[r.typ]
-	switch t.kind {
-	case kFloat:
-		return ref{typ: r.typ, off: -1, bits: math.Float64bits(m.readFloat(r))}
-	case kVoid:
-		return ref{typ: r.typ, off: -1}
-	default:
-		return ref{typ: r.typ, off: -1, bits: uint64(m.readInt(r))}
-	}
-}
-
-// writeInt mirrors cval.Value.SetInt: truncate, big-endian.
-func (m *Machine) writeInt(t *typ, off int32, v int64) {
-	u := uint64(v)
-	for i := off + t.size - 1; i >= off; i-- {
-		m.arena[i] = byte(u)
-		u >>= 8
-	}
-}
-
-// writeFloat mirrors cval.Value.SetFloat.
-func (m *Machine) writeFloat(t *typ, off int32, f float64) {
-	var u uint64
-	if t.size == 4 {
-		u = uint64(math.Float32bits(float32(f)))
-	} else {
-		u = math.Float64bits(f)
-	}
-	for i := off + t.size - 1; i >= off; i-- {
-		m.arena[i] = byte(u)
-		u >>= 8
-	}
-}
-
-// writeImm stores a normalized immediate of type t at off.
-func (m *Machine) writeImm(t *typ, off int32, bits uint64) {
-	if t.kind == kFloat {
-		m.writeFloat(t, off, math.Float64frombits(bits))
-		return
-	}
-	u := bits
-	for i := off + t.size - 1; i >= off; i-- {
-		m.arena[i] = byte(u)
-		u >>= 8
-	}
+// store writes a value in normalized form into the slot of type t at
+// off.
+func (m *Machine) store(t *typ, off int32, bits uint64) {
+	t.layout().Store(m.arena[off:off+t.size], bits)
 }
 
 // ---------------------------------------------------------------------------
@@ -276,37 +191,22 @@ func (m *Machine) convertVal(ti int32, src ref) (ref, error) {
 	st := &p.types[src.typ]
 	switch {
 	case t.kind == kFloat && arithmeticKind(st.kind):
-		return p.immFloat(ti, m.toFloat(src)), nil
+		return p.imm(ti, math.Float64bits(m.toFloat(src))), nil
 	case intKind(t.kind) && st.kind == kFloat:
-		return p.immInt(ti, int64(m.readFloat(src))), nil
+		return p.imm(ti, uint64(int64(math.Float64frombits(m.val(src))))), nil
 	case intKind(t.kind) && intKind(st.kind):
 		if t.kind == kBool {
-			var b uint64
-			if m.truth(src) {
-				b = 1
-			}
-			return ref{typ: ti, off: -1, bits: b}, nil
+			return ref{typ: ti, off: -1, bits: uint64(b2i(m.truth(src)))}, nil
 		}
-		return p.immInt(ti, m.readInt(src)), nil
+		return p.imm(ti, m.val(src)), nil
 	}
 	if st.kind == kArray && intKind(t.kind) && st.elem >= 0 && intKind(p.types[st.elem].kind) {
-		// Leading bytes, right-aligned in the target (big-endian read).
+		// The leading bytes, right-aligned in the target (the Figure 2
+		// idiom).
 		if src.off < 0 {
 			return ref{}, fmt.Errorf("internal: immediate array value")
 		}
-		n := t.size
-		if st.size < n {
-			n = st.size
-		}
-		var u uint64
-		for _, b := range m.arena[src.off : src.off+n] {
-			u = u<<8 | uint64(b)
-		}
-		if t.kind == kInt && t.size < 8 {
-			shift := uint(64 - 8*t.size)
-			u = uint64(int64(u<<shift) >> shift)
-		}
-		return ref{typ: ti, off: -1, bits: u}, nil
+		return ref{typ: ti, off: -1, bits: t.layout().Load(m.arena[src.off : src.off+min(t.size, st.size)])}, nil
 	}
 	return ref{}, fmt.Errorf("cannot convert %s to %s", st.ct, t.ct)
 }
@@ -322,7 +222,7 @@ func (m *Machine) convertStore(ti, off int32, src ref) error {
 	t := &p.types[ti]
 	if src.typ == ti {
 		if src.off < 0 {
-			m.writeImm(t, off, src.bits)
+			m.store(t, off, src.bits)
 		} else {
 			copy(m.arena[off:off+t.size], m.arena[src.off:src.off+t.size])
 		}
@@ -334,14 +234,14 @@ func (m *Machine) convertStore(ti, off int32, src ref) error {
 		if err != nil {
 			return err
 		}
-		m.writeImm(t, off, v.bits)
+		m.store(t, off, v.bits)
 		return nil
 	}
 	return fmt.Errorf("cannot assign %s to %s", st.ct, t.ct)
 }
 
 // ---------------------------------------------------------------------------
-// Binary arithmetic (mirrors dataexec.arith)
+// Binary arithmetic
 
 // promoteIdx mirrors ctypes.Promote over interned type indices (enums
 // are interned as int up front).
@@ -373,9 +273,11 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// execBinary mirrors dataexec.arith: array operands reinterpret as the
-// other side's promoted type, the usual arithmetic conversions pick
-// the common type, and the int paths wrap in exactly 32 bits.
+// execBinary applies a binary operator through cval's kernel (as
+// dataexec.arith does): array operands first reinterpret as the other
+// side's promoted type, each operand enters in the space its interned
+// descriptor records, and the result becomes an immediate of its
+// space's type.
 func (m *Machine) execBinary(opk token.Kind, x, y ref) (ref, error) {
 	p := m.p
 	if p.types[x.typ].kind == kArray {
@@ -392,134 +294,11 @@ func (m *Machine) execBinary(opk token.Kind, x, y ref) (ref, error) {
 		}
 		y = conv
 	}
-	tx, ty := &p.types[x.typ], &p.types[y.typ]
-
-	// UsualArithmetic: double > float > unsigned int > int.
-	if (tx.kind == kFloat && tx.size == 8) || (ty.kind == kFloat && ty.size == 8) ||
-		tx.kind == kFloat || ty.kind == kFloat {
-		common := p.tFloat
-		if (tx.kind == kFloat && tx.size == 8) || (ty.kind == kFloat && ty.size == 8) {
-			common = p.tDouble
-		}
-		a, bf := m.toFloat(x), m.toFloat(y)
-		switch opk {
-		case token.ADD:
-			return p.immFloat(common, a+bf), nil
-		case token.SUB:
-			return p.immFloat(common, a-bf), nil
-		case token.MUL:
-			return p.immFloat(common, a*bf), nil
-		case token.QUO:
-			if bf == 0 {
-				return ref{}, fmt.Errorf("floating division by zero")
-			}
-			return p.immFloat(common, a/bf), nil
-		case token.EQL:
-			return p.immInt(p.tInt, b2i(a == bf)), nil
-		case token.NEQ:
-			return p.immInt(p.tInt, b2i(a != bf)), nil
-		case token.LSS:
-			return p.immInt(p.tInt, b2i(a < bf)), nil
-		case token.GTR:
-			return p.immInt(p.tInt, b2i(a > bf)), nil
-		case token.LEQ:
-			return p.immInt(p.tInt, b2i(a <= bf)), nil
-		case token.GEQ:
-			return p.immInt(p.tInt, b2i(a >= bf)), nil
-		}
-		return ref{}, fmt.Errorf("operator %q not defined on floats", opk)
+	bits, _, sp, err := cval.Binary(opk, m.val(x), p.types[x.typ].sp, m.val(y), p.types[y.typ].sp)
+	if err != nil {
+		return ref{}, err
 	}
-
-	pxt, pyt := &p.types[p.promoteIdx(x.typ)], &p.types[p.promoteIdx(y.typ)]
-	if pxt.kind == kUint || pyt.kind == kUint {
-		common := p.tUint
-		a, bu := uint32(m.readInt(x)), uint32(m.readInt(y))
-		switch opk {
-		case token.ADD:
-			return p.immInt(common, int64(a+bu)), nil
-		case token.SUB:
-			return p.immInt(common, int64(a-bu)), nil
-		case token.MUL:
-			return p.immInt(common, int64(a*bu)), nil
-		case token.QUO:
-			if bu == 0 {
-				return ref{}, fmt.Errorf("division by zero")
-			}
-			return p.immInt(common, int64(a/bu)), nil
-		case token.REM:
-			if bu == 0 {
-				return ref{}, fmt.Errorf("division by zero")
-			}
-			return p.immInt(common, int64(a%bu)), nil
-		case token.SHL:
-			return p.immInt(common, int64(a<<(bu&31))), nil
-		case token.SHR:
-			return p.immInt(common, int64(a>>(bu&31))), nil
-		case token.AND:
-			return p.immInt(common, int64(a&bu)), nil
-		case token.OR:
-			return p.immInt(common, int64(a|bu)), nil
-		case token.XOR:
-			return p.immInt(common, int64(a^bu)), nil
-		case token.EQL:
-			return p.immInt(p.tInt, b2i(a == bu)), nil
-		case token.NEQ:
-			return p.immInt(p.tInt, b2i(a != bu)), nil
-		case token.LSS:
-			return p.immInt(p.tInt, b2i(a < bu)), nil
-		case token.GTR:
-			return p.immInt(p.tInt, b2i(a > bu)), nil
-		case token.LEQ:
-			return p.immInt(p.tInt, b2i(a <= bu)), nil
-		case token.GEQ:
-			return p.immInt(p.tInt, b2i(a >= bu)), nil
-		}
-		return ref{}, fmt.Errorf("unsupported operator %q", opk)
-	}
-
-	common := p.tInt
-	a, bi := int32(m.readInt(x)), int32(m.readInt(y))
-	switch opk {
-	case token.ADD:
-		return p.immInt(common, int64(a+bi)), nil
-	case token.SUB:
-		return p.immInt(common, int64(a-bi)), nil
-	case token.MUL:
-		return p.immInt(common, int64(a*bi)), nil
-	case token.QUO:
-		if bi == 0 {
-			return ref{}, fmt.Errorf("division by zero")
-		}
-		return p.immInt(common, int64(a/bi)), nil
-	case token.REM:
-		if bi == 0 {
-			return ref{}, fmt.Errorf("division by zero")
-		}
-		return p.immInt(common, int64(a%bi)), nil
-	case token.SHL:
-		return p.immInt(common, int64(a<<(uint32(bi)&31))), nil
-	case token.SHR:
-		return p.immInt(common, int64(a>>(uint32(bi)&31))), nil
-	case token.AND:
-		return p.immInt(common, int64(a&bi)), nil
-	case token.OR:
-		return p.immInt(common, int64(a|bi)), nil
-	case token.XOR:
-		return p.immInt(common, int64(a^bi)), nil
-	case token.EQL:
-		return p.immInt(common, b2i(a == bi)), nil
-	case token.NEQ:
-		return p.immInt(common, b2i(a != bi)), nil
-	case token.LSS:
-		return p.immInt(common, b2i(a < bi)), nil
-	case token.GTR:
-		return p.immInt(common, b2i(a > bi)), nil
-	case token.LEQ:
-		return p.immInt(common, b2i(a <= bi)), nil
-	case token.GEQ:
-		return p.immInt(common, b2i(a >= bi)), nil
-	}
-	return ref{}, fmt.Errorf("unsupported operator %q", opk)
+	return ref{typ: p.spaceTyp[sp], off: -1, bits: bits}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -559,7 +338,7 @@ func (m *Machine) run(pc int32, extPresent []bool, out []cval.Value) (bool, erro
 			pc++
 
 		case opIndex:
-			idx := m.readInt(stack[sp-1])
+			idx := int64(m.val(stack[sp-1]))
 			arr := stack[sp-2]
 			sp--
 			t := &p.types[arr.typ]
@@ -599,36 +378,36 @@ func (m *Machine) run(pc int32, extPresent []bool, out []cval.Value) (bool, erro
 			switch in.a {
 			case uNeg:
 				if t.kind == kFloat {
-					stack[sp-1] = p.immFloat(x.typ, -m.readFloat(x))
+					stack[sp-1] = p.imm(x.typ, math.Float64bits(-math.Float64frombits(m.val(x))))
 				} else {
-					stack[sp-1] = p.immInt(p.promoteIdx(x.typ), -m.readInt(x))
+					stack[sp-1] = p.imm(p.promoteIdx(x.typ), -m.val(x))
 				}
 			case uNot:
-				stack[sp-1] = p.immInt(p.tInt, b2i(!m.truth(x)))
+				stack[sp-1] = ref{typ: p.tInt, off: -1, bits: uint64(b2i(!m.truth(x)))}
 			case uTilde:
 				if t.kind == kBool {
-					var b uint64
-					if !m.truth(x) {
-						b = 1
-					}
-					stack[sp-1] = ref{typ: p.tBool, off: -1, bits: b}
+					stack[sp-1] = ref{typ: p.tBool, off: -1, bits: uint64(b2i(!m.truth(x)))}
 				} else if t.kind == kFloat {
 					return false, fmt.Errorf("operator ~ not defined on %s", t.ct)
 				} else {
-					stack[sp-1] = p.immInt(p.promoteIdx(x.typ), ^m.readInt(x))
+					stack[sp-1] = p.imm(p.promoteIdx(x.typ), ^m.val(x))
 				}
 			}
 			pc++
 
 		case opIncDec:
+			// An integer step on the slot's bytes, a float's included
+			// (mirrors dataexec's SetInt(Int()+delta)).
 			dst := stack[sp-1]
 			t := &p.types[dst.typ]
-			old := m.immFromView(dst)
-			m.writeInt(t, dst.off, m.readInt(dst)+int64(in.a))
+			b := m.arena[dst.off : dst.off+t.size]
+			raw := cval.Layout{Size: int(t.size), Signed: t.kind == kInt}
+			old := ref{typ: dst.typ, off: -1, bits: m.val(dst)}
+			raw.Store(b, raw.Load(b)+uint64(int64(in.a)))
 			if in.b == 1 {
 				stack[sp-1] = old
 			} else {
-				stack[sp-1] = m.immFromView(dst)
+				stack[sp-1] = ref{typ: dst.typ, off: -1, bits: m.val(dst)}
 			}
 			pc++
 
@@ -703,7 +482,7 @@ func (m *Machine) run(pc int32, extPresent []bool, out []cval.Value) (bool, erro
 
 		case opStoreTag:
 			sp--
-			m.tags[in.a] = m.readInt(stack[sp])
+			m.tags[in.a] = int64(m.val(stack[sp]))
 			pc++
 
 		case opCaseEq:
@@ -761,7 +540,7 @@ func (m *Machine) run(pc int32, extPresent []bool, out []cval.Value) (bool, erro
 						copy(m.arena[fn.retSlot:fn.retSlot+t.size], m.arena[v.off:v.off+t.size])
 						stack[sp-1] = ref{typ: v.typ, off: fn.retSlot}
 					} else {
-						stack[sp-1] = m.immFromView(v)
+						stack[sp-1] = ref{typ: v.typ, off: -1, bits: m.val(v)}
 					}
 				}
 			} else {

@@ -21,7 +21,11 @@ import (
 // and the v1 design entries keyed through KeyParse, into misses after
 // an incompatible change. Generation 2: C switch dispatch (parse,
 // lowering, emitted Go) and priced instructions in table listings.
-const keyGeneration = 2
+// Generation 3: generated C spells bool as _Bool, emits ~ on a bool as
+// !, and reads a byte array's own size in the Figure 2 idiom; the glue
+// header spells bool as the C does; generated Go compares a byte array
+// against an integer in that integer's promoted type.
+const keyGeneration = 3
 
 // fph starts a phase-key hash, salted with the phase name and the key
 // and codec generations.

@@ -273,6 +273,17 @@ func (k Kind) IsTypeKeyword() bool {
 // IsAssignOp reports whether the kind is an assignment operator.
 func (k Kind) IsAssignOp() bool { return ASSIGN <= k && k <= SHR_ASSIGN }
 
+// AssignBinOp maps a compound assignment operator to the binary
+// operator it applies: += to +, and so on through >>= to >>. ok is
+// false for every other kind, plain = included. The two runs of
+// constants are declared in the same order.
+func (k Kind) AssignBinOp() (op Kind, ok bool) {
+	if ADD_ASSIGN <= k && k <= SHR_ASSIGN {
+		return ADD + (k - ADD_ASSIGN), true
+	}
+	return ILLEGAL, false
+}
+
 var keywords map[string]Kind
 
 func init() {

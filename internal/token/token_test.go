@@ -57,3 +57,17 @@ func TestTokenString(t *testing.T) {
 		t.Error("operator token string wrong")
 	}
 }
+
+func TestAssignBinOp(t *testing.T) {
+	for k := ADD_ASSIGN; k <= SHR_ASSIGN; k++ {
+		op, ok := k.AssignBinOp()
+		if !ok || op.String()+"=" != k.String() || op.Precedence() == 0 {
+			t.Errorf("%v.AssignBinOp() = %v, %v", k, op, ok)
+		}
+	}
+	for _, k := range []Kind{ASSIGN, EQL, ADD, SHR, INC} {
+		if op, ok := k.AssignBinOp(); ok {
+			t.Errorf("%v.AssignBinOp() = %v, want no operator", k, op)
+		}
+	}
+}
