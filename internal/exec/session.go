@@ -177,6 +177,10 @@ func (s *Session) StepBatch(id string, batch []map[string]cval.Value) ([]*Result
 // instant counter) — so a daemon conversation transcribed as JSONL is
 // literally a replayable trace. Events produced before a decode or
 // step error are returned alongside it.
+//
+// On slot-stepping backends an event's Inputs is the caller's own map
+// from inputs whenever all its values are already canonical (see
+// EncodeValue), so neither should be modified afterwards.
 func (s *Session) StepEvents(id string, inputs []map[string]string) ([]Event, error) {
 	e, err := s.lookup(id)
 	if err != nil {
@@ -189,26 +193,35 @@ func (s *Session) StepEvents(id string, inputs []map[string]string) ([]Event, er
 	}
 	events := make([]Event, 0, len(inputs))
 	for _, enc := range inputs {
-		in, err := DecodeInstant(e.m, enc)
+		ev, err := e.stepEvent(enc)
 		if err != nil {
 			return events, fmt.Errorf("machine %q instant %d: %w", id, e.instant, err)
 		}
-		res, err := e.step(in)
-		if err != nil {
-			return events, fmt.Errorf("machine %q instant %d: %w", id, e.instant, err)
-		}
-		events = append(events, Event{
-			Instant:    e.instant,
-			Inputs:     EncodeInstant(in),
-			Outputs:    EncodeInstant(res.Outputs),
-			Terminated: res.Terminated,
-		})
+		ev.Instant = e.instant
+		events = append(events, ev)
 		e.instant++
-		if res.Terminated {
+		if ev.Terminated {
 			break
 		}
 	}
 	return events, nil
+}
+
+// stepEvent runs one wire instant through the machine's fastest path;
+// call with e.mu held.
+func (e *sessionEntry) stepEvent(enc map[string]string) (Event, error) {
+	if e.slots != nil {
+		return e.slots.stepEncoded(enc)
+	}
+	in, err := DecodeInstant(e.m, enc)
+	if err != nil {
+		return Event{}, err
+	}
+	res, err := e.m.Step(in)
+	if err != nil {
+		return Event{}, err
+	}
+	return Event{Inputs: EncodeInstant(in), Outputs: EncodeInstant(res.Outputs), Terminated: res.Terminated}, nil
 }
 
 // Instant returns how many instants the machine has executed.

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -183,6 +185,97 @@ func TestSessionStepEvents(t *testing.T) {
 	}
 	if n, _ := s.Instant(id); n != 4 {
 		t.Errorf("instant counter %d after partial batch, want 4", n)
+	}
+}
+
+// stepEventsTable is the StepEvents parity table: one design and the
+// batches sent to it, covering re-encoded non-canonical hex, every
+// decode error after a partial batch, valued outputs and termination
+// mid-batch.
+var stepEventsTable = []struct {
+	path, src, module string
+	batches           [][]map[string]string
+}{
+	{"stack.ecl", paperex.Stack, "toplevel", [][]map[string]string{
+		{{"in_byte": "0x7e"}, {}, nil, {"reset": ""}, {"in_byte": "0x00", "reset": ""}, {"in_byte": ""}},
+		{{"in_byte": "0xAB"}, {"in_byte": "ab"}, {"in_byte": "0xaB"}, {"in_byte": "0x01"}},
+		{{"in_byte": "0x01"}, {"bogus": ""}, {}},
+		{{}, {"in_byte": "0x0102"}, {}},
+		{{"in_byte": "0xzz"}},
+		{{"in_byte": "0x7"}},
+		{{"in_byte": "0X7e"}},
+		{{"in_byte": "0x"}},
+		{{"reset": "0x01"}},
+		{{"reset": "0x"}},
+		{{"in_byte": "0x02"}, {"reset": ""}},
+	}},
+	{"stack.ecl", paperex.Stack, "checkcrc", [][]map[string]string{
+		{{"inpkt": packetHex(true)}, {}, {"inpkt": strings.ToUpper(packetHex(false))[2:]}, {"inpkt": packetHex(true), "reset": ""}},
+		{{"inpkt": "0x00"}},
+	}},
+	{"finis.ecl", finisSrc, "finis", [][]map[string]string{
+		{{}, {"go": ""}, {}, {}},
+		{{}, {"go": ""}},
+	}},
+}
+
+func packetHex(good bool) string {
+	pkt := paperex.MakePacket(good)
+	return "0x" + hex.EncodeToString(pkt[:])
+}
+
+// TestSessionStepEventsParity runs the parity table through
+// Session.StepEvents on interp (the map path) and on the slot-stepping
+// backends, and requires the same events, error texts and instant
+// counters from all of them.
+func TestSessionStepEventsParity(t *testing.T) {
+	for _, tc := range stepEventsTable {
+		d := buildDesign(t, tc.path, tc.src, tc.module)
+		var want []string
+		for _, backend := range []string{"interp", "efsm", "efsm-min", "efsm-table"} {
+			s := NewSession()
+			id, err := s.Open("m", backend, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, batch := range tc.batches {
+				events, err := s.StepEvents(id, batch)
+				n, _ := s.Instant(id)
+				got = append(got, fmt.Sprintf("%#v / %v / instant %d", events, err, n))
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s on %s, batch %d:\n got %s\nwant %s", tc.module, backend, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestStepEventsSlotAllocs pins the slot-native StepEvents: with
+// canonical inputs and no output present, a batch allocates only its
+// event slice — no decoded value maps, no per-instant encoding.
+func TestStepEventsSlotAllocs(t *testing.T) {
+	stack := buildDesign(t, "stack.ecl", paperex.Stack, "toplevel")
+	s := NewSession()
+	id, err := s.Open("", "efsm-table", stack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []map[string]string{{"in_byte": "0x00"}, {}, {"in_byte": "0x00", "reset": ""}, {"in_byte": "0xff"}}
+	allocs := testing.AllocsPerRun(100, func() {
+		events, err := s.StepEvents(id, batch)
+		if err != nil || len(events) != len(batch) || events[0].Outputs != nil {
+			t.Fatalf("StepEvents = %v, %v", events, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("StepEvents makes %v allocations per batch, want 1 (the event slice)", allocs)
 	}
 }
 

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"encoding/hex"
+	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/cval"
 	"repro/internal/kernel"
@@ -98,14 +101,18 @@ func (p *Ports) NewInputs() []cval.Value { return make([]cval.Value, len(p.input
 // valued output's type preallocated, so a SlotStepper can copy emitted
 // value bytes in place and the steady-state step never allocates. Pure
 // output slots stay invalid.
-func (p *Ports) NewOutputs() []cval.Value {
-	out := make([]cval.Value, len(p.outputs))
-	for j, s := range p.outputs {
+func (p *Ports) NewOutputs() []cval.Value { return newValueStore(p.outputs) }
+
+// newValueStore allocates one value per signal, with storage of its
+// type for the valued ones; pure signals' entries stay invalid.
+func newValueStore(sigs []Signal) []cval.Value {
+	vals := make([]cval.Value, len(sigs))
+	for j, s := range sigs {
 		if !s.Pure && s.Type != nil {
-			out[j] = cval.New(s.Type)
+			vals[j] = cval.New(s.Type)
 		}
 	}
-	return out
+	return vals
 }
 
 // BindInstant resolves a string-keyed input instant onto slot vectors:
@@ -211,12 +218,17 @@ func (a *SlotAdapter) Step(step func(present []bool, in, out []cval.Value) (bool
 
 // stepSlotScratch is the per-entry scratch the Session and trace paths
 // use when a machine turns out to be a SlotStepper: one buffer set,
-// allocated on first use, reused for every instant of that machine.
+// allocated when the machine is opened, reused for every instant of it.
 type stepSlotScratch struct {
 	s       SlotStepper
+	ports   *Ports
 	present []bool
 	in      []cval.Value
 	out     []cval.Value
+	// inStore holds each valued input's storage for stepEncoded, which
+	// decodes wire hex straight into it; the machine copies input bytes
+	// into its own state, so the storage is free again after each step.
+	inStore []cval.Value
 }
 
 // newStepSlotScratch prepares scratch for a machine if (and only if) it
@@ -228,13 +240,14 @@ func newStepSlotScratch(m Machine) *stepSlotScratch {
 		return nil
 	}
 	p := s.Ports()
-	return &stepSlotScratch{s: s, present: p.NewPresent(), in: p.NewInputs(), out: p.NewOutputs()}
+	return &stepSlotScratch{s: s, ports: p, present: p.NewPresent(), in: p.NewInputs(), out: p.NewOutputs(),
+		inStore: newValueStore(p.inputs)}
 }
 
 // step runs one instant through the slot path, returning the same
 // Result shape as Machine.Step.
 func (sc *stepSlotScratch) step(inputs map[string]cval.Value) (*Result, error) {
-	p := sc.s.Ports()
+	p := sc.ports
 	if err := p.BindInstant(inputs, sc.present, sc.in); err != nil {
 		return nil, err
 	}
@@ -243,4 +256,98 @@ func (sc *stepSlotScratch) step(inputs map[string]cval.Value) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Outputs: p.OutputMap(sc.present, sc.out), Terminated: terminated}, nil
+}
+
+// stepEncoded runs one instant given as a wire input map and returns
+// its Event, Instant unset. It is DecodeInstant, the slot step and
+// EncodeInstant of inputs and outputs in one pass over the slots, with
+// the same results and error texts: hex decodes straight into inStore,
+// and output values are encoded from the output slots, one allocation
+// each. When every input value is already canonical ("" or "0x" and
+// lowercase hex of the signal's width) the event's Inputs is enc
+// itself; otherwise it is a fresh map with the values re-encoded.
+func (sc *stepSlotScratch) stepEncoded(enc map[string]string) (Event, error) {
+	p := sc.ports
+	for i := range p.inputs {
+		sc.present[i] = false
+		sc.in[i] = cval.Value{}
+	}
+	canonical := true
+	var pureErr error
+	for name, s := range enc {
+		i, ok := p.inSlot[name]
+		if !ok {
+			return Event{}, &UnknownInputError{Name: name, Valid: p.inNames}
+		}
+		sc.present[i] = true
+		if s == "" {
+			continue
+		}
+		v := sc.inStore[i]
+		ok, canon := decodeHex(v.B, s)
+		if !ok || !v.IsValid() {
+			// Not hex of the signal's width (or no storage, a pure
+			// signal): DecodeValue reports it exactly as DecodeInstant.
+			dv, err := DecodeValue(p.inputs[i].Type, s)
+			if err != nil {
+				return Event{}, fmt.Errorf("input %s: %w", name, err)
+			}
+			v, canon = dv, false
+		}
+		if p.inputs[i].Pure && pureErr == nil {
+			pureErr = &PureValueError{Name: name}
+		}
+		sc.in[i] = v
+		canonical = canonical && canon
+	}
+	if pureErr != nil {
+		return Event{}, pureErr
+	}
+	terminated, err := sc.s.StepSlots(sc.present, sc.in, sc.out)
+	if err != nil {
+		return Event{}, err
+	}
+	ev := Event{Outputs: p.encodeOutputs(sc.present, sc.out), Terminated: terminated}
+	switch {
+	case len(enc) == 0:
+	case canonical:
+		ev.Inputs = enc
+	default:
+		ev.Inputs = make(map[string]string, len(enc))
+		for name := range enc {
+			ev.Inputs[name] = EncodeValue(sc.in[p.inSlot[name]])
+		}
+	}
+	return ev, nil
+}
+
+// decodeHex decodes s — hex digits of exactly dst's width, optionally
+// prefixed with "0x" — into dst, reporting whether s had that form and
+// whether it was canonical ("0x" and lowercase digits). On failure dst
+// holds garbage.
+func decodeHex(dst []byte, s string) (ok, canonical bool) {
+	h := strings.TrimPrefix(s, "0x")
+	if len(h) != 2*len(dst) {
+		return false, false
+	}
+	if _, err := hex.Decode(dst, []byte(h)); err != nil {
+		return false, false
+	}
+	return true, len(h) < len(s) && strings.ToLower(h) == h
+}
+
+// encodeOutputs is OutputMap then EncodeInstant without the
+// intermediate map: the present outputs' encoded values, nil when none
+// is present.
+func (p *Ports) encodeOutputs(present []bool, out []cval.Value) map[string]string {
+	var named map[string]string
+	for j, s := range p.outputs {
+		if present[len(p.inputs)+j] {
+			if named == nil {
+				named = make(map[string]string)
+			}
+			named[s.Name] = EncodeValue(out[j])
+		}
+	}
+	return named
 }

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -61,15 +63,15 @@ func (t *Trace) Append(inputs map[string]cval.Value, res *Result) {
 	})
 }
 
-// Encode serializes the trace as JSONL.
+// Encode serializes the trace as JSONL: the header through
+// encoding/json, each event through AppendEvent.
 func (t *Trace) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(t); err != nil {
+	if err := json.NewEncoder(bw).Encode(t); err != nil {
 		return err
 	}
-	for _, ev := range t.Events {
-		if err := enc.Encode(ev); err != nil {
+	for i := range t.Events {
+		if _, err := bw.Write(AppendEvent(bw.AvailableBuffer(), &t.Events[i])); err != nil {
 			return err
 		}
 	}
@@ -84,14 +86,14 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var t *Trace
 	for {
-		line, readErr := br.ReadString('\n')
+		line, readErr := br.ReadBytes('\n')
 		if readErr != nil && readErr != io.EOF {
 			return nil, readErr
 		}
-		if s := strings.TrimSpace(line); s != "" {
+		if s := bytes.TrimSpace(line); len(s) > 0 {
 			if t == nil {
 				t = &Trace{}
-				if err := json.Unmarshal([]byte(s), t); err != nil {
+				if err := json.Unmarshal(s, t); err != nil {
 					return nil, fmt.Errorf("trace header: %w", err)
 				}
 				if t.Version != TraceVersion {
@@ -99,7 +101,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				}
 			} else {
 				var ev Event
-				if err := json.Unmarshal([]byte(s), &ev); err != nil {
+				if err := ParseEvent(s, &ev); err != nil {
 					return nil, fmt.Errorf("trace event %d: %w", len(t.Events), err)
 				}
 				t.Events = append(t.Events, ev)
@@ -121,7 +123,15 @@ func EncodeValue(v cval.Value) string {
 	if !v.IsValid() {
 		return ""
 	}
-	return "0x" + hex.EncodeToString(v.B)
+	const digits = "0123456789abcdef"
+	var sb strings.Builder
+	sb.Grow(2 + 2*len(v.B))
+	sb.WriteString("0x")
+	for _, c := range v.B {
+		sb.WriteByte(digits[c>>4])
+		sb.WriteByte(digits[c&0xf])
+	}
+	return sb.String()
 }
 
 // DecodeValue parses an encoded value against the signal's type; ""
@@ -156,31 +166,36 @@ func EncodeInstant(in map[string]cval.Value) map[string]string {
 }
 
 // DecodeInstant parses one instant's input map against a machine's
-// input signal types.
+// input signal types. Names resolve by a scan of m.Inputs(); the sorted
+// name list an UnknownInputError carries is built only on that error.
 func DecodeInstant(m Machine, in map[string]string) (map[string]cval.Value, error) {
 	if len(in) == 0 {
 		return nil, nil
 	}
-	types := make(map[string]ctypes.Type, len(m.Inputs()))
-	names := make([]string, 0, len(m.Inputs()))
-	for _, s := range m.Inputs() {
-		types[s.Name] = s.Type
-		names = append(names, s.Name)
-	}
-	sort.Strings(names)
+	sigs := m.Inputs()
 	out := make(map[string]cval.Value, len(in))
 	for name, enc := range in {
-		t, ok := types[name]
-		if !ok {
-			return nil, &UnknownInputError{Name: name, Valid: names}
+		i := slices.IndexFunc(sigs, func(s Signal) bool { return s.Name == name })
+		if i < 0 {
+			return nil, &UnknownInputError{Name: name, Valid: sortedNames(sigs)}
 		}
-		v, err := DecodeValue(t, enc)
+		v, err := DecodeValue(sigs[i].Type, enc)
 		if err != nil {
 			return nil, fmt.Errorf("input %s: %w", name, err)
 		}
 		out[name] = v
 	}
 	return out, nil
+}
+
+// sortedNames lists the signals' names in sorted order.
+func sortedNames(sigs []Signal) []string {
+	names := make([]string, len(sigs))
+	for i, s := range sigs {
+		names[i] = s.Name
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Record steps the machine through the input instants, recording a

@@ -29,12 +29,14 @@ func Write(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// Stream writes an NDJSON response body: one JSON value per line,
+// Stream writes an NDJSON response body: one JSON value per line
+// (encoded by Encode, or pre-encoded and written by WriteLine),
 // buffered, with the application/x-ndjson Content-Type set before the
 // first byte is committed. Like Write, encode failures mid-stream
 // cannot reach the client (the 200 status is already on the wire), so
 // they are logged — tagged with the caller-supplied context — and the
-// stream goes dead: every later Encode is a no-op reporting false.
+// stream goes dead: every later Encode or WriteLine is a no-op
+// reporting false.
 type Stream struct {
 	what string
 	bw   *bufio.Writer
@@ -59,6 +61,21 @@ func (s *Stream) Encode(v any) bool {
 	if err := s.enc.Encode(v); err != nil {
 		s.err = err
 		Logf("httpjson: %s: encode %T line: %v", s.what, v, err)
+		return false
+	}
+	return true
+}
+
+// WriteLine appends one line the caller encoded itself: a JSON value
+// and its newline, as a hand-written codec for a hot stream produces
+// it. Failures are handled as in Encode.
+func (s *Stream) WriteLine(line []byte) bool {
+	if s.err != nil {
+		return false
+	}
+	if _, err := s.bw.Write(line); err != nil {
+		s.err = err
+		Logf("httpjson: %s: write line: %v", s.what, err)
 		return false
 	}
 	return true

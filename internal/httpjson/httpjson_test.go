@@ -12,10 +12,13 @@ import (
 func TestStream(t *testing.T) {
 	rec := httptest.NewRecorder()
 	st := NewStream(rec, "test stream")
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if !st.Encode(map[string]int{"n": i}) {
 			t.Fatalf("Encode %d failed: %v", i, st.Err())
 		}
+	}
+	if !st.WriteLine([]byte("{\"n\":2}\n")) {
+		t.Fatalf("WriteLine failed: %v", st.Err())
 	}
 	st.Flush()
 	if err := st.Err(); err != nil {
@@ -60,6 +63,9 @@ func TestStreamDeadAfterFailure(t *testing.T) {
 	}
 	if st.Encode("more") {
 		t.Fatal("Encode succeeded on a dead stream")
+	}
+	if st.WriteLine([]byte("\"more\"\n")) {
+		t.Fatal("WriteLine succeeded on a dead stream")
 	}
 	if len(logged) != 1 || !strings.Contains(logged[0], "dead stream") {
 		t.Fatalf("logged = %q, want one message naming the stream", logged)

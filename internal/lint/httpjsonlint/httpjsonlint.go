@@ -1,6 +1,7 @@
 // Package httpjsonlint is a repo-specific Go linter enforcing one
 // invariant: HTTP handlers encode JSON responses through
-// internal/httpjson (Write for single values, NewStream for NDJSON),
+// internal/httpjson (Write for single values, NewStream for NDJSON,
+// whose WriteLine takes lines a hand-written codec already encoded),
 // never with a raw json.NewEncoder over the http.ResponseWriter. The
 // helper sets Content-Type before the status commits and logs encode
 // failures; a raw encoder silently drops both, which is exactly the

@@ -156,15 +156,12 @@ func (c *Client) Stats() (Stats, error) {
 // execute are returned alongside the error — exactly the semantics of
 // exec.Session.StepEvents, stretched over HTTP.
 func (c *Client) StepEvents(id string, inputs []map[string]string) ([]exec.Event, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var body []byte
 	for _, in := range inputs {
-		if err := enc.Encode(exec.Event{Inputs: in}); err != nil {
-			return nil, fmt.Errorf("simd: encode batch: %v", err)
-		}
+		body = exec.AppendEvent(body, &exec.Event{Inputs: in})
 	}
 	path := "/v1/machines/" + url.PathEscape(id) + "/step"
-	req, err := http.NewRequest(http.MethodPost, c.base+path, &buf)
+	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("simd: %v", err)
 	}
@@ -178,25 +175,32 @@ func (c *Client) StepEvents(id string, inputs []map[string]string) ([]exec.Event
 		return nil, errorFromResponse(http.MethodPost, path, resp)
 	}
 	var events []exec.Event
-	br := bufio.NewReader(resp.Body)
+	lr := lineReader{br: bufio.NewReader(resp.Body)}
 	for {
-		line, readErr := br.ReadString('\n')
-		if readErr != nil && readErr != io.EOF {
-			return events, fmt.Errorf("simd: step %s: read response: %v", id, readErr)
-		}
-		if s := strings.TrimSpace(line); s != "" {
-			var ev wireEvent
-			if err := json.Unmarshal([]byte(s), &ev); err != nil {
-				return events, fmt.Errorf("simd: step %s: bad response line: %v", id, err)
-			}
-			if ev.Error != "" {
-				return events, fmt.Errorf("simd: step %s: %s", id, ev.Error)
-			}
-			events = append(events, ev.Event)
-		}
-		if readErr == io.EOF {
+		line, err := lr.next()
+		if err == io.EOF {
 			return events, nil
 		}
+		if err != nil {
+			return events, fmt.Errorf("simd: step %s: read response: %v", id, err)
+		}
+		// Event lines are canonical; anything else, the error line
+		// included, goes through encoding/json.
+		var ev exec.Event
+		if !exec.ParseCanonicalEvent(line, &ev) {
+			var wev wireEvent
+			if err := json.Unmarshal(line, &wev); err != nil {
+				return events, fmt.Errorf("simd: step %s: bad response line: %v", id, err)
+			}
+			if wev.Error != "" {
+				return events, fmt.Errorf("simd: step %s: %s", id, wev.Error)
+			}
+			ev = wev.Event
+		}
+		if events == nil {
+			events = make([]exec.Event, 0, len(inputs))
+		}
+		events = append(events, ev)
 	}
 }
 

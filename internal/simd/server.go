@@ -539,8 +539,10 @@ func (d *Daemon) step(w http.ResponseWriter, r *http.Request) {
 	d.batches.Add(1)
 	d.steps.Add(int64(len(events)))
 	st := httpjson.NewStream(w, "simd: step "+id)
-	for _, ev := range events {
-		if !st.Encode(ev) {
+	var line []byte
+	for i := range events {
+		line = exec.AppendEvent(line[:0], &events[i])
+		if !st.WriteLine(line) {
 			return
 		}
 	}
@@ -626,28 +628,21 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // instants only when explicitly encoded as "{}" — a fully blank line
 // is skipped, matching trace format tolerance.
 func readInputEvents(r *http.Request) ([]map[string]string, error) {
-	br := bufio.NewReader(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	lr := lineReader{br: bufio.NewReader(http.MaxBytesReader(nil, r.Body, maxBodyBytes))}
 	var inputs []map[string]string
-	line := 0
-	for {
-		text, readErr := br.ReadString('\n')
-		if readErr != nil && readErr != io.EOF {
-			return nil, fmt.Errorf("read body: %w", readErr)
-		}
-		if s := strings.TrimSpace(text); s != "" {
-			line++
-			var ev exec.Event
-			if err := json.Unmarshal([]byte(s), &ev); err != nil {
-				return nil, fmt.Errorf("input event %d: %v", line, err)
-			}
-			if ev.Inputs == nil {
-				ev.Inputs = map[string]string{}
-			}
-			inputs = append(inputs, ev.Inputs)
-		}
-		if readErr == io.EOF {
+	for n := 1; ; n++ {
+		line, err := lr.next()
+		if err == io.EOF {
 			return inputs, nil
 		}
+		if err != nil {
+			return nil, fmt.Errorf("read body: %w", err)
+		}
+		var ev exec.Event
+		if err := exec.ParseEvent(line, &ev); err != nil {
+			return nil, fmt.Errorf("input event %d: %v", n, err)
+		}
+		inputs = append(inputs, ev.Inputs)
 	}
 }
 

@@ -32,7 +32,10 @@
 package simd
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -114,6 +117,41 @@ type Stats struct {
 type wireEvent struct {
 	exec.Event
 	Error string `json:"error,omitempty"`
+}
+
+// lineReader yields the non-blank lines of a JSONL body, trimmed of
+// surrounding white space. A line stays in bufio's buffer unless it
+// outgrows it, so it is valid only until the next call.
+type lineReader struct {
+	br   *bufio.Reader
+	long []byte
+	eof  bool
+}
+
+// next returns the next non-blank line, io.EOF after the last one, or
+// the first read error.
+func (lr *lineReader) next() ([]byte, error) {
+	for !lr.eof {
+		line, err := lr.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			lr.long = append(lr.long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = lr.br.ReadSlice('\n')
+				lr.long = append(lr.long, line...)
+			}
+			line = lr.long
+		}
+		switch {
+		case err == io.EOF:
+			lr.eof = true
+		case err != nil:
+			return nil, err
+		}
+		if s := bytes.TrimSpace(line); len(s) > 0 {
+			return s, nil
+		}
+	}
+	return nil, io.EOF
 }
 
 // signalInfos converts exec signal descriptors to their wire form.
