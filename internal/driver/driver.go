@@ -164,8 +164,8 @@ func (r *Result) Failed() bool { return r.Err != nil }
 // repopulate every tier (the remote upload is asynchronous and
 // best-effort).
 type Driver struct {
-	// Workers bounds the number of concurrently building requests
-	// (default: GOMAXPROCS).
+	// Workers sizes Build's fixed pool of goroutines, each building
+	// one request at a time (default: GOMAXPROCS).
 	Workers int
 	// NoCache disables every cache tier (every request recompiles).
 	NoCache bool
@@ -262,38 +262,33 @@ func (d *Driver) CacheStats() CacheStats {
 	return cs
 }
 
-// Build compiles every request concurrently over the worker pool and
-// returns one Result per request, in request order. Per-request
-// failures are reported in the Results (and joined into the returned
-// error); a cancelled context marks the remaining requests failed with
-// the context error.
+// Build compiles every request concurrently and returns one Result per
+// request, in request order. A fixed pool of min(Workers, len(reqs))
+// goroutines takes the requests in order, each building one at a time,
+// so a worker's stack, once grown by the deep pipeline frames, serves
+// every later request. Per-request failures are reported in the Results
+// (and joined into the returned error); a cancelled context marks the
+// remaining requests failed with the context error.
 func (d *Driver) Build(ctx context.Context, reqs []Request) ([]Result, error) {
 	results := make([]Result, len(reqs))
 	workers := d.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sem := make(chan struct{}, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-dispatch:
-	for i := range reqs {
-		// Check cancellation before the blocking acquire: select picks
-		// randomly among ready cases, so a free slot could otherwise
-		// win over an already-cancelled context.
-		if ctx.Err() != nil {
-			break dispatch
-		}
-		select {
-		case <-ctx.Done():
-			break dispatch
-		case sem <- struct{}{}:
-		}
+	for range min(workers, len(reqs)) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = d.buildOne(reqs[i])
-		}(i)
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(reqs) {
+					return
+				}
+				results[i] = d.buildOne(reqs[i])
+			}
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {

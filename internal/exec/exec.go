@@ -226,20 +226,32 @@ func newSigTable(inputs, outputs []*kernel.Signal) *sigTable {
 
 // resolve translates a string-keyed input instant onto the module's
 // signal identities, rejecting unknown names and values on pure
-// signals.
+// signals; of several bad names, the first in sorted order.
 func (t *sigTable) resolve(in map[string]cval.Value) (map[*kernel.Signal]cval.Value, error) {
 	out := make(map[*kernel.Signal]cval.Value, len(in))
 	for name, val := range in {
-		sig, ok := t.inByName[name]
-		if !ok {
-			return nil, &UnknownInputError{Name: name, Valid: t.inNames}
-		}
-		if val.IsValid() && sig.Pure {
-			return nil, &PureValueError{Name: name}
+		sig, err := t.input(name, val)
+		if err != nil {
+			return nil, firstBadInput(in, func(name string, val cval.Value) error {
+				_, err := t.input(name, val)
+				return err
+			})
 		}
 		out[sig] = val
 	}
 	return out, nil
+}
+
+// input resolves one named input and checks its value.
+func (t *sigTable) input(name string, val cval.Value) (*kernel.Signal, error) {
+	sig, ok := t.inByName[name]
+	if !ok {
+		return nil, &UnknownInputError{Name: name, Valid: t.inNames}
+	}
+	if val.IsValid() && sig.Pure {
+		return nil, &PureValueError{Name: name}
+	}
+	return sig, nil
 }
 
 // nameOutputs translates an output map back to string keys, cloning

@@ -188,6 +188,42 @@ func TestSessionStepEvents(t *testing.T) {
 	}
 }
 
+// severalBadInputs names three bad inputs of abro at once: two unknown
+// names and a value on the pure input A.
+var severalBadInputs = map[string]string{"bogus": "", "zzz": "", "A": "0x01"}
+
+// TestSeveralBadInputsOneError steps an instant naming several bad
+// inputs 200 times, on the wire path (Session.StepEvents) and on the
+// map path (Machine.Step), on interp and the table VM. Each path must
+// report one error text every time, the same on both backends: the
+// first bad name in sorted order, not the first in map order.
+func TestSeveralBadInputsOneError(t *testing.T) {
+	abro := buildDesign(t, "abro.ecl", paperex.ABRO, "abro")
+	mapIn := map[string]cval.Value{"bogus": {}, "zzz": {}, "A": cval.FromBool(true)}
+	const want = `machine "m" instant 0: input A: value "0x01" for a pure signal`
+	for _, backend := range []string{"interp", "efsm-table"} {
+		s := NewSession()
+		id, err := s.Open("m", backend, abro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(backend, abro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]int{}
+		for range 200 {
+			_, err := s.StepEvents(id, []map[string]string{severalBadInputs})
+			seen["wire: "+fmt.Sprint(err)]++
+			_, err = m.Step(mapIn)
+			seen["map: "+fmt.Sprint(err)]++
+		}
+		if len(seen) != 2 || seen["wire: "+want] != 200 || seen["map: input A is pure and carries no value"] != 200 {
+			t.Errorf("%s: error texts over 200 steps: %v", backend, seen)
+		}
+	}
+}
+
 // stepEventsTable is the StepEvents parity table: one design and the
 // batches sent to it, covering re-encoded non-canonical hex, every
 // decode error after a partial batch, valued outputs and termination

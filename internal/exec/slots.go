@@ -119,24 +119,37 @@ func newValueStore(sigs []Signal) []cval.Value {
 // input presence bits are set (output bits are left alone — the step
 // rewrites them), and vals[i] receives input i's supplied value (or the
 // invalid value). Unknown names and values on pure signals are rejected
-// with the same errors as the map Step path.
+// with the same errors as the map Step path, the first bad name in
+// sorted order when there are several.
 func (p *Ports) BindInstant(inputs map[string]cval.Value, present []bool, vals []cval.Value) error {
 	for i := range p.inputs {
 		present[i] = false
 		vals[i] = cval.Value{}
 	}
 	for name, val := range inputs {
-		i, ok := p.inSlot[name]
-		if !ok {
-			return &UnknownInputError{Name: name, Valid: p.inNames}
-		}
-		if val.IsValid() && p.inputs[i].Pure {
-			return &PureValueError{Name: name}
+		i, err := p.inputSlot(name, val)
+		if err != nil {
+			return firstBadInput(inputs, func(name string, val cval.Value) error {
+				_, err := p.inputSlot(name, val)
+				return err
+			})
 		}
 		present[i] = true
 		vals[i] = val
 	}
 	return nil
+}
+
+// inputSlot resolves one named input to its slot and checks its value.
+func (p *Ports) inputSlot(name string, val cval.Value) (int, error) {
+	i, ok := p.inSlot[name]
+	if !ok {
+		return 0, &UnknownInputError{Name: name, Valid: p.inNames}
+	}
+	if val.IsValid() && p.inputs[i].Pure {
+		return 0, &PureValueError{Name: name}
+	}
+	return i, nil
 }
 
 // OutputMap translates a stepped presence vector and output value array
@@ -272,12 +285,11 @@ func (sc *stepSlotScratch) stepEncoded(enc map[string]string) (Event, error) {
 		sc.present[i] = false
 		sc.in[i] = cval.Value{}
 	}
-	canonical := true
-	var pureErr error
+	canonical, pure := true, false
 	for name, s := range enc {
 		i, ok := p.inSlot[name]
 		if !ok {
-			return Event{}, &UnknownInputError{Name: name, Valid: p.inNames}
+			return Event{}, firstBadInput(enc, p.decodeErr)
 		}
 		sc.present[i] = true
 		if s == "" {
@@ -290,18 +302,23 @@ func (sc *stepSlotScratch) stepEncoded(enc map[string]string) (Event, error) {
 			// signal): DecodeValue reports it exactly as DecodeInstant.
 			dv, err := DecodeValue(p.inputs[i].Type, s)
 			if err != nil {
-				return Event{}, fmt.Errorf("input %s: %w", name, err)
+				return Event{}, firstBadInput(enc, p.decodeErr)
 			}
 			v, canon = dv, false
 		}
-		if p.inputs[i].Pure && pureErr == nil {
-			pureErr = &PureValueError{Name: name}
-		}
+		pure = pure || p.inputs[i].Pure
 		sc.in[i] = v
 		canonical = canonical && canon
 	}
-	if pureErr != nil {
-		return Event{}, pureErr
+	if pure {
+		// Every name decoded, as DecodeInstant would have checked
+		// first; now report the pure-signal value BindInstant would.
+		return Event{}, firstBadInput(enc, func(name, s string) error {
+			if s != "" && p.inputs[p.inSlot[name]].Pure {
+				return &PureValueError{Name: name}
+			}
+			return nil
+		})
 	}
 	terminated, err := sc.s.StepSlots(sc.present, sc.in, sc.out)
 	if err != nil {
@@ -319,6 +336,19 @@ func (sc *stepSlotScratch) stepEncoded(enc map[string]string) (Event, error) {
 		}
 	}
 	return ev, nil
+}
+
+// decodeErr is the error DecodeInstant reports for one wire input, or
+// nil.
+func (p *Ports) decodeErr(name, s string) error {
+	i, ok := p.inSlot[name]
+	if !ok {
+		return &UnknownInputError{Name: name, Valid: p.inNames}
+	}
+	if _, err := DecodeValue(p.inputs[i].Type, s); err != nil {
+		return fmt.Errorf("input %s: %w", name, err)
+	}
+	return nil
 }
 
 // decodeHex decodes s — hex digits of exactly dst's width, optionally

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -168,6 +169,7 @@ func EncodeInstant(in map[string]cval.Value) map[string]string {
 // DecodeInstant parses one instant's input map against a machine's
 // input signal types. Names resolve by a scan of m.Inputs(); the sorted
 // name list an UnknownInputError carries is built only on that error.
+// When several names are bad, the first in sorted order is reported.
 func DecodeInstant(m Machine, in map[string]string) (map[string]cval.Value, error) {
 	if len(in) == 0 {
 		return nil, nil
@@ -175,17 +177,42 @@ func DecodeInstant(m Machine, in map[string]string) (map[string]cval.Value, erro
 	sigs := m.Inputs()
 	out := make(map[string]cval.Value, len(in))
 	for name, enc := range in {
-		i := slices.IndexFunc(sigs, func(s Signal) bool { return s.Name == name })
-		if i < 0 {
-			return nil, &UnknownInputError{Name: name, Valid: sortedNames(sigs)}
-		}
-		v, err := DecodeValue(sigs[i].Type, enc)
+		v, err := decodeInput(sigs, name, enc)
 		if err != nil {
-			return nil, fmt.Errorf("input %s: %w", name, err)
+			return nil, firstBadInput(in, func(name, enc string) error {
+				_, err := decodeInput(sigs, name, enc)
+				return err
+			})
 		}
 		out[name] = v
 	}
 	return out, nil
+}
+
+// decodeInput decodes one named input value against the signals.
+func decodeInput(sigs []Signal, name, enc string) (cval.Value, error) {
+	i := slices.IndexFunc(sigs, func(s Signal) bool { return s.Name == name })
+	if i < 0 {
+		return cval.Value{}, &UnknownInputError{Name: name, Valid: sortedNames(sigs)}
+	}
+	v, err := DecodeValue(sigs[i].Type, enc)
+	if err != nil {
+		return cval.Value{}, fmt.Errorf("input %s: %w", name, err)
+	}
+	return v, nil
+}
+
+// firstBadInput re-checks an instant's inputs in sorted name order and
+// returns the first failure, so an instant naming several bad inputs
+// is reported the same way on every run. Callers scan in map order and
+// call it only once they have seen a failure.
+func firstBadInput[V any](in map[string]V, check func(name string, v V) error) error {
+	for _, name := range slices.Sorted(maps.Keys(in)) {
+		if err := check(name, in[name]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sortedNames lists the signals' names in sorted order.

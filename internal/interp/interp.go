@@ -6,6 +6,13 @@
 // absent (a conservative Can analysis). If that resolves nothing, the
 // reaction fails with a causality error.
 //
+// Each thread runs on a carrier goroutine taken from a bounded park of
+// idle carriers that outlive the reaction. A reaction's threads are
+// short-lived but recurse deeply, and EFSM synthesis runs every
+// reaction of every module: a goroutine per thread would regrow its
+// stack from the starting size each time, while a parked carrier keeps
+// the stack that earlier threads grew.
+//
 // The interpreter is used three ways: directly as the simulation
 // semantics, by the EFSM compiler (internal/compile) with symbolic
 // data hooks, and by tests as the oracle the compiled EFSM must match.
@@ -459,30 +466,75 @@ func (r *reaction) run(root *thread, body kernel.Stmt, mode runMode) (completion
 	return root.comp, root.err
 }
 
-// launch starts the thread's goroutine; it runs until its first yield.
+// parkSize bounds the idle carriers kept for reuse. A reaction holds
+// one carrier per live thread until it ends, so the park only has to
+// cover the threads of the reactions running at once. The designs at
+// hand fork at most 7 threads in one reaction (eclgen's 1000-module
+// files; 6 in the paper's stack), so 64 covers that on nine workers
+// at once. A carrier that finds the park full exits rather than pin
+// its stack for good.
+const parkSize = 64
+
+// parked holds idle carriers, each as the channel it takes its next
+// thread from. Like a sync.Pool it is shared by every machine in the
+// process, so a stack grown by one machine's reactions serves the next
+// machine's.
+var parked = make(chan chan *thread, parkSize)
+
+// launch hands the thread to a parked carrier goroutine, starting a new
+// carrier only when none is parked; the thread runs until its first
+// yield. Carriers outlive reactions so that each thread runs on a stack
+// that earlier threads already grew, instead of growing a fresh one.
 func (th *thread) launch() {
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				if _, ok := p.(killedPanic); ok {
-					th.state = thDone
-					th.comp = completion{kind: compTerminated}
-					close(th.yield)
-					return
-				}
+	select {
+	case c := <-parked:
+		c <- th
+	default:
+		go carry(make(chan *thread), th)
+	}
+}
+
+// carry runs threads on one goroutine: the given one, then each thread
+// handed to it on c while it is parked. It parks before signalling a
+// thread's end, so the next launch finds it, and touches nothing of the
+// thread after that signal.
+func carry(c chan *thread, th *thread) {
+	for {
+		th.run()
+		var ok bool
+		select {
+		case parked <- c:
+			ok = true
+		default:
+		}
+		close(th.yield)
+		if !ok {
+			return
+		}
+		th = <-c
+	}
+}
+
+// run executes the thread's body to completion, or until the reaction
+// kills it, and records the result; the carrier then signals the end.
+// A panic other than the kill propagates.
+func (th *thread) run() {
+	defer func() {
+		if p := recover(); p != nil {
+			if _, ok := p.(killedPanic); !ok {
 				panic(p)
 			}
-		}()
-		<-th.resume
-		comp, err := th.exec(th.body, th.mode, th.k)
-		th.comp = comp
-		th.err = err
-		if err != nil && th.r.failure == nil {
-			th.r.failure = err
+			th.comp = completion{kind: compTerminated}
 		}
 		th.state = thDone
-		close(th.yield)
 	}()
+	<-th.resume
+	comp, err := th.exec(th.body, th.mode, th.k)
+	th.comp = comp
+	th.err = err
+	if err != nil && th.r.failure == nil {
+		th.r.failure = err
+	}
 }
 
 // step gives the thread the baton and waits for it to yield or finish.
@@ -651,7 +703,7 @@ func (r *reaction) resolveAbsent() bool {
 	return changed
 }
 
-// shutdown kills every live thread so no goroutine leaks.
+// shutdown kills every live thread, so every carrier is freed.
 func (r *reaction) shutdown() {
 	r.killing = true
 	for progress := true; progress; {

@@ -82,6 +82,10 @@ var lastSource struct {
 func sourceDigest(src string) [sha256.Size]byte {
 	lastSource.Lock()
 	if lastSource.ok && lastSource.src == src {
+		// Keep the caller's string: an equal source in a new backing
+		// array (a re-read file) would otherwise be compared byte by
+		// byte on every later call.
+		lastSource.src = src
 		sum := lastSource.digest
 		lastSource.Unlock()
 		return sum

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -41,6 +42,28 @@ func TestKeyParseContent(t *testing.T) {
 	// as before.
 	if got := KeyParse("a.ecl", src, opts); got != base {
 		t.Errorf("re-keyed source gave %s, want %s", got, base)
+	}
+}
+
+// TestKeyParseMemoKeepsNewString keys a source, then an equal copy in
+// a distinct backing array (a re-read file). The keys must be equal,
+// and the memo must then hold the copy, so that later calls with it
+// compare pointers instead of the whole source.
+func TestKeyParseMemoKeepsNewString(t *testing.T) {
+	s1 := strings.Repeat("module m (input pure i) { await (i); }\n", 64)
+	s2 := strings.Clone(s1)
+	if unsafe.StringData(s1) == unsafe.StringData(s2) {
+		t.Fatal("strings.Clone shared the backing array")
+	}
+	k1 := KeyParse("a.ecl", s1, core.Options{})
+	if k2 := KeyParse("a.ecl", s2, core.Options{}); k2 != k1 {
+		t.Fatalf("equal copy keyed %s, want %s", k2, k1)
+	}
+	lastSource.Lock()
+	held := lastSource.src
+	lastSource.Unlock()
+	if unsafe.StringData(held) != unsafe.StringData(s2) {
+		t.Error("after a content-equal hit the memo still holds the first string")
 	}
 }
 

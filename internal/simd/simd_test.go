@@ -146,6 +146,30 @@ func TestDaemonErrors(t *testing.T) {
 	}
 }
 
+// TestDaemonSeveralBadInputsOneError sends an instant naming several
+// bad inputs 200 times, on the daemon's default slot-stepping backend
+// and on interp. Each must answer with one error text every time: the
+// first bad name in sorted order.
+func TestDaemonSeveralBadInputsOneError(t *testing.T) {
+	c, _ := testDaemon(t, nil)
+	bad := []map[string]string{{"bogus": "", "zzz": "", "A": "0x01"}}
+	for _, backend := range []string{"", "interp"} {
+		info, err := c.Open(OpenRequest{Path: "abro.ecl", Source: paperex.ABRO, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]int{}
+		for range 200 {
+			_, err := c.StepEvents(info.ID, bad)
+			seen[fmt.Sprint(err)]++
+		}
+		want := fmt.Sprintf(`simd: step %s: machine %q instant 0: input A: value "0x01" for a pure signal`, info.ID, info.ID)
+		if len(seen) != 1 || seen[want] != 200 {
+			t.Errorf("%s: error texts over 200 steps: %v", info.Backend, seen)
+		}
+	}
+}
+
 // TestDaemonConversationIsReplayableTrace is the acceptance check: the
 // events a daemon conversation produces, written verbatim as a JSONL
 // trace, replay clean through exec.Replay on the oracle interpreter.
