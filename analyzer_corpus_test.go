@@ -6,6 +6,9 @@
 package ecl
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,29 +24,48 @@ import (
 	"repro/internal/pipeline"
 )
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/analyzer_corpus.golden from the current code")
+
+const analyzerCorpusGolden = "testdata/analyzer_corpus.golden"
+
 // analyzeCorpus runs every module of every seeded program through one
 // Runner with analysis on and renders the merged findings as one
 // deterministic string.
 func analyzeCorpus(t *testing.T, r *pipeline.Runner, seeds int) string {
 	t.Helper()
+	var files []genFile
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		files = append(files, genFile{fmt.Sprintf("gen%03d.ecl", seed), eclgen.Program(seed)})
+	}
+	out, _ := analyzeFiles(t, r, files)
+	return out
+}
+
+// genFile is one generated source file and the path it is compiled as.
+type genFile struct{ path, src string }
+
+// analyzeFiles runs every module of every file through one Runner with
+// analysis on and renders the merged findings, deduplicated and
+// sorted, one per line; n is the number of findings.
+func analyzeFiles(t *testing.T, r *pipeline.Runner, files []genFile) (out string, n int) {
+	t.Helper()
 	var all []analyze.Finding
 	seen := map[string]bool{}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		src := eclgen.Program(seed)
-		path := fmt.Sprintf("gen%03d.ecl", seed)
-		req := pipeline.Request{Path: path, Source: src, Analyze: true}
+	for _, file := range files {
+		path := file.path
+		req := pipeline.Request{Path: path, Source: file.src, Analyze: true}
 		mods, _, err := r.Modules(req)
 		if err != nil {
-			t.Fatalf("seed %d: front end: %v", seed, err)
+			t.Fatalf("%s: front end: %v", path, err)
 		}
 		for _, mod := range mods {
 			req.Module = mod
 			res := r.Run(req)
 			if res.Err != nil {
-				t.Fatalf("seed %d module %s: %v", seed, mod, res.Err)
+				t.Fatalf("%s module %s: %v", path, mod, res.Err)
 			}
 			if res.Findings == nil || res.FileFindings == nil {
-				t.Fatalf("seed %d module %s: analysis did not run", seed, mod)
+				t.Fatalf("%s module %s: analysis did not run", path, mod)
 			}
 			for _, f := range append(append([]analyze.Finding(nil), res.Findings...), res.FileFindings...) {
 				if line := f.String(); !seen[line] {
@@ -59,7 +81,7 @@ func analyzeCorpus(t *testing.T, r *pipeline.Runner, seeds int) string {
 		b.WriteString(f.String())
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String(), len(all)
 }
 
 // phaseTraffic sums one phase's counters across a runner's stats.
@@ -83,6 +105,18 @@ func TestAnalyzerGeneratedCorpus(t *testing.T) {
 	coldOut := analyzeCorpus(t, cold, seeds)
 	if c := phaseTraffic(cold.Stats(), pipeline.PhaseAnalyze); c.Rebuilds == 0 {
 		t.Fatalf("cold run rebuilt no analyze phases: %+v", c)
+	}
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(analyzerCorpusGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(analyzerCorpusGolden, []byte(coldOut), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if want, err := os.ReadFile(analyzerCorpusGolden); err != nil {
+		t.Errorf("%v (run with -update to create it)", err)
+	} else if coldOut != string(want) {
+		t.Errorf("cold findings diverge from %s", analyzerCorpusGolden)
 	}
 
 	// Memory tier: the same runner serves the same corpus from its
@@ -124,6 +158,21 @@ func TestAnalyzerGeneratedCorpus(t *testing.T) {
 	}
 	if rc.RemoteHits == 0 {
 		t.Errorf("remote run had no analyze remote hits: %+v", rc)
+	}
+}
+
+// TestAnalyzerMegaFileFindings pins the count and digest of the
+// findings over every module of the seed-1 300-module generated file,
+// a cheaper stand-in for the seed-1 1000-module file the benchmark vets.
+func TestAnalyzerMegaFileFindings(t *testing.T) {
+	const (
+		wantN      = 985
+		wantSHA256 = "3d7a2b4ca3dbe196c8d2179e7bc444b4e98df6590f3fa9c468e2fcadd93a55b5"
+	)
+	out, n := analyzeFiles(t, pipeline.NewRunner(nil), []genFile{{"mega.ecl", eclgen.File(1, 300)}})
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); n != wantN || got != wantSHA256 {
+		t.Errorf("eclgen.File(1, 300): %d findings, sha256 %s; want %d, %s", n, got, wantN, wantSHA256)
 	}
 }
 

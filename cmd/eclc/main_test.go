@@ -182,7 +182,7 @@ func TestExplainReportsPhaseTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cache stats: %v\n%s", err, out)
 	}
-	for _, want := range []string{"phase=efsm entries=", "phase=parse entries=", "phase=emit-c entries="} {
+	for _, want := range []string{"phase=efsm entries=", "phase=emit-c entries="} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("cache stats lacks %q:\n%s", want, out)
 		}

@@ -285,9 +285,9 @@ func TestPublicAPIDiskCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One v1 design manifest plus the v2 phase snapshots the pipeline
-	// stored for it (parse, lower, efsm, emit-c).
-	if gc.LiveEntries != 5 {
-		t.Fatalf("GCCache sees %d live entries, want 5 (1 design + 4 phase)", gc.LiveEntries)
+	// stored for it (efsm, emit-c); parse and lower store nothing.
+	if gc.LiveEntries != 3 {
+		t.Fatalf("GCCache sees %d live entries, want 3 (1 design + 2 phase)", gc.LiveEntries)
 	}
 }
 

@@ -2,11 +2,15 @@
 // interval/constant dataflow engine over the compiled EFSM. It runs a
 // worklist fixpoint over (control state × abstract store), where the
 // store maps every variable and valued-signal slot to an integer
-// interval, and the transfer functions follow the C semantics of
-// internal/dataexec — int32/uint32 value spaces, truncating stores, the
-// &31 shift mask, div-by-zero traps — folding constants through cval's
-// kernel, so that anything the abstract execution calls certain really
-// happens on the concrete machine.
+// interval. Each analysis interns its slots (module variables, valued
+// signals, and C-function frame variables on first use) to ordinals,
+// so a store is one value vector and copying it is one slice copy.
+//
+// The transfer functions follow the C semantics of internal/dataexec —
+// int32/uint32 value spaces, truncating stores, the &31 shift mask,
+// div-by-zero traps — folding constants through cval's kernel, so that
+// anything the abstract execution calls certain really happens on the
+// concrete machine.
 //
 // The engine reports three things the rule layer turns into findings:
 //
@@ -28,6 +32,7 @@ package absint
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ctypes"
 	"repro/internal/kernel"
@@ -41,6 +46,7 @@ const (
 	kBot   valKind = iota // no concrete value reaches this point
 	kTop                  // untracked (floats, aggregates, given up)
 	kRange                // integer interval [lo, hi]
+	kUnset                // a store slot never set; never leaves a Store
 )
 
 // Val is an abstract value: bottom, top, or an integer interval. The
@@ -224,44 +230,116 @@ func zeroOf(t ctypes.Type) Val {
 // ---------------------------------------------------------------------------
 // Store
 
+// slotKind tells apart the three owners of a store slot: HavocVars
+// forgets variable and frame slots but keeps signal values, and
+// JoinWith adopts a frame slot the receiving store lacks.
+type slotKind uint8
+
+const (
+	slotVar slotKind = iota
+	slotSig
+	slotFrame
+)
+
+// slotTable interns one analysis's storage locations to ordinals:
+// module variables, valued signals, and C-function frame variables on
+// first use. Every store of the analysis indexes its values by them.
+type slotTable struct {
+	vars   map[*kernel.Var]int
+	sigs   map[*kernel.Signal]int
+	frames map[*sem.VarInfo]int
+	kinds  []slotKind
+	types  []ctypes.Type
+}
+
+func (t *slotTable) add(k slotKind, typ ctypes.Type) int {
+	t.kinds = append(t.kinds, k)
+	t.types = append(t.types, typ)
+	return len(t.kinds) - 1
+}
+
+func (t *slotTable) varSlot(v *kernel.Var) int {
+	id, ok := t.vars[v]
+	if !ok {
+		id = t.add(slotVar, v.Type)
+		t.vars[v] = id
+	}
+	return id
+}
+
+func (t *slotTable) sigSlot(sig *kernel.Signal) int {
+	id, ok := t.sigs[sig]
+	if !ok {
+		id = t.add(slotSig, sig.Type)
+		t.sigs[sig] = id
+	}
+	return id
+}
+
+func (t *slotTable) frameSlot(vi *sem.VarInfo) int {
+	id, ok := t.frames[vi]
+	if !ok {
+		id = t.add(slotFrame, vi.Type)
+		t.frames[vi] = id
+	}
+	return id
+}
+
 // Store is one abstract machine state: every module variable and
 // valued-signal slot, plus the C-function frame slots live during a
 // call. Bot marks the whole store unreachable (an infeasible path).
+//
+// The values form one vector indexed by the slot table the store
+// shares with every store cloned from it, so a clone is one slice
+// copy. A slot the store never set holds kUnset: a variable or signal
+// slot then reads as its type's full range, and a frame slot is not in
+// the frame.
 type Store struct {
-	Bot   bool
-	Vars  map[*kernel.Var]Val
-	Sigs  map[*kernel.Signal]Val
-	Frame map[*sem.VarInfo]Val // function parameters and locals
+	Bot  bool
+	tab  *slotTable
+	vals []Val
 }
 
-// NewStore returns an empty (top-everything) store.
+// NewStore returns an empty (top-everything) store over a fresh slot
+// table; every store that shares its slots is cloned from it.
 func NewStore() *Store {
-	return &Store{
-		Vars: make(map[*kernel.Var]Val),
-		Sigs: make(map[*kernel.Signal]Val),
-	}
+	return &Store{tab: &slotTable{
+		vars:   make(map[*kernel.Var]int),
+		sigs:   make(map[*kernel.Signal]int),
+		frames: make(map[*sem.VarInfo]int),
+	}}
 }
 
 // Clone deep-copies the store.
 func (s *Store) Clone() *Store {
-	c := &Store{
-		Bot:  s.Bot,
-		Vars: make(map[*kernel.Var]Val, len(s.Vars)),
-		Sigs: make(map[*kernel.Signal]Val, len(s.Sigs)),
+	return &Store{Bot: s.Bot, tab: s.tab, vals: slices.Clone(s.vals)}
+}
+
+// get reads slot id; ok is false when the store never set it.
+func (s *Store) get(id int) (Val, bool) {
+	if id < len(s.vals) && s.vals[id].k != kUnset {
+		return s.vals[id], true
 	}
-	for k, v := range s.Vars {
-		c.Vars[k] = v
-	}
-	for k, v := range s.Sigs {
-		c.Sigs[k] = v
-	}
-	if s.Frame != nil {
-		c.Frame = make(map[*sem.VarInfo]Val, len(s.Frame))
-		for k, v := range s.Frame {
-			c.Frame[k] = v
+	return Val{}, false
+}
+
+// put writes slot id as given: no truncation, and Bot is not checked.
+func (s *Store) put(id int, v Val) {
+	if n := len(s.vals); id >= n {
+		s.vals = append(s.vals, make([]Val, len(s.tab.kinds)-n)...)
+		for i := n; i < len(s.vals); i++ {
+			s.vals[i] = Val{k: kUnset}
 		}
 	}
-	return c
+	s.vals[id] = v
+}
+
+// sameSlots panics when o indexes a different slot table than s: their
+// ordinals would name different locations.
+func (s *Store) sameSlots(o *Store) {
+	if s.tab != o.tab {
+		panic("absint: stores of different analyses combined")
+	}
 }
 
 // SetBot marks the store unreachable.
@@ -272,8 +350,10 @@ func (s *Store) VarVal(v *kernel.Var) Val {
 	if s.Bot {
 		return Bot()
 	}
-	if val, ok := s.Vars[v]; ok {
-		return val
+	if id, ok := s.tab.vars[v]; ok {
+		if val, ok := s.get(id); ok {
+			return val
+		}
 	}
 	return topOf(v.Type)
 }
@@ -284,7 +364,7 @@ func (s *Store) SetVar(v *kernel.Var, val Val) {
 	if s.Bot {
 		return
 	}
-	s.Vars[v] = inSpace(val, v.Type)
+	s.put(s.tab.varSlot(v), inSpace(val, v.Type))
 }
 
 // SigVal reads a valued signal slot.
@@ -292,8 +372,10 @@ func (s *Store) SigVal(sig *kernel.Signal) Val {
 	if s.Bot {
 		return Bot()
 	}
-	if val, ok := s.Sigs[sig]; ok {
-		return val
+	if id, ok := s.tab.sigs[sig]; ok {
+		if val, ok := s.get(id); ok {
+			return val
+		}
 	}
 	return topOf(sig.Type)
 }
@@ -303,17 +385,17 @@ func (s *Store) SetSig(sig *kernel.Signal, val Val) {
 	if s.Bot {
 		return
 	}
-	s.Sigs[sig] = inSpace(val, sig.Type)
+	s.put(s.tab.sigSlot(sig), inSpace(val, sig.Type))
 }
 
 // FrameVal reads a function frame slot; ok is false when the slot is
 // not in the frame (the variable is module-level).
 func (s *Store) FrameVal(vi *sem.VarInfo) (Val, bool) {
-	if s.Frame == nil {
+	id, ok := s.tab.frames[vi]
+	if !ok {
 		return Val{}, false
 	}
-	v, ok := s.Frame[vi]
-	return v, ok
+	return s.get(id)
 }
 
 // SetFrame writes a function frame slot.
@@ -321,21 +403,29 @@ func (s *Store) SetFrame(vi *sem.VarInfo, val Val) {
 	if s.Bot {
 		return
 	}
-	if s.Frame == nil {
-		s.Frame = make(map[*sem.VarInfo]Val)
+	s.put(s.tab.frameSlot(vi), inSpace(val, vi.Type))
+}
+
+// restoreFrame puts frame slot vi back the way a call found it: val
+// when the slot existed, out of the frame when it did not.
+func (s *Store) restoreFrame(vi *sem.VarInfo, val Val, existed bool) {
+	id := s.tab.frameSlot(vi)
+	switch {
+	case existed:
+		s.put(id, val)
+	case id < len(s.vals):
+		s.vals[id] = Val{k: kUnset}
 	}
-	s.Frame[vi] = inSpace(val, vi.Type)
 }
 
 // HavocVars forgets every mutable slot a call with unknown effects
 // could touch: module variables and frame slots (emits cannot happen
 // in data code, so signal values survive).
 func (s *Store) HavocVars() {
-	for v := range s.Vars {
-		s.Vars[v] = topOf(v.Type)
-	}
-	for vi := range s.Frame {
-		s.Frame[vi] = topOf(vi.Type)
+	for id, v := range s.vals {
+		if v.k != kUnset && s.tab.kinds[id] != slotSig {
+			s.vals[id] = topOf(s.tab.types[id])
+		}
 	}
 }
 
@@ -345,50 +435,28 @@ func (s *Store) JoinWith(o *Store) bool {
 	if o == nil || o.Bot {
 		return false
 	}
+	s.sameSlots(o)
 	if s.Bot {
 		s.Bot = false
-		s.Vars = make(map[*kernel.Var]Val, len(o.Vars))
-		for k, v := range o.Vars {
-			s.Vars[k] = v
-		}
-		s.Sigs = make(map[*kernel.Signal]Val, len(o.Sigs))
-		for k, v := range o.Sigs {
-			s.Sigs[k] = v
-		}
-		s.Frame = nil
-		if o.Frame != nil {
-			s.Frame = make(map[*sem.VarInfo]Val, len(o.Frame))
-			for k, v := range o.Frame {
-				s.Frame[k] = v
-			}
-		}
+		s.vals = append(s.vals[:0], o.vals...)
 		return true
 	}
 	changed := false
-	for k, ov := range o.Vars {
-		nv := join(s.Vars[k], ov)
-		if nv != s.Vars[k] {
-			s.Vars[k] = nv
-			changed = true
-		}
-	}
-	for k, ov := range o.Sigs {
-		nv := join(s.Sigs[k], ov)
-		if nv != s.Sigs[k] {
-			s.Sigs[k] = nv
-			changed = true
-		}
-	}
-	for vi, ov := range o.Frame {
-		cur, ok := s.Frame[vi]
-		if !ok {
-			// Slot scoped to the other branch: unreadable here, adopt it.
-			s.SetFrame(vi, ov)
+	for id, ov := range o.vals {
+		if ov.k == kUnset {
 			continue
 		}
-		nv := join(cur, ov)
-		if nv != cur {
-			s.Frame[vi] = nv
+		cur, ok := s.get(id)
+		if !ok {
+			if s.tab.kinds[id] == slotFrame {
+				// Slot scoped to the other branch: unreadable here, adopt it.
+				s.put(id, inSpace(ov, s.tab.types[id]))
+				continue
+			}
+			cur = Bot()
+		}
+		if nv := join(cur, ov); nv != cur {
+			s.put(id, nv)
 			changed = true
 		}
 	}
@@ -401,19 +469,13 @@ func (s *Store) WidenFrom(prev *Store) {
 	if s.Bot || prev == nil || prev.Bot {
 		return
 	}
-	for k, v := range s.Vars {
-		if pv, ok := prev.Vars[k]; !ok || v != pv {
-			s.Vars[k] = topOf(k.Type)
+	s.sameSlots(prev)
+	for id, v := range s.vals {
+		if v.k == kUnset {
+			continue
 		}
-	}
-	for k, v := range s.Sigs {
-		if pv, ok := prev.Sigs[k]; !ok || v != pv {
-			s.Sigs[k] = topOf(k.Type)
-		}
-	}
-	for vi, v := range s.Frame {
-		if pv, ok := prev.Frame[vi]; !ok || v != pv {
-			s.Frame[vi] = topOf(vi.Type)
+		if pv, ok := prev.get(id); !ok || v != pv {
+			s.vals[id] = topOf(s.tab.types[id])
 		}
 	}
 }

@@ -805,11 +805,7 @@ func (it *Interp) evalCall(b *kernel.Binding, e *ast.Call) Val {
 		ret = join(ret, zeroOf(fi.Ret))
 	}
 	for _, s := range sav {
-		if s.existed {
-			it.St.Frame[s.vi] = s.val
-		} else if it.St.Frame != nil {
-			delete(it.St.Frame, s.vi)
-		}
+		it.St.restoreFrame(s.vi, s.val, s.existed)
 	}
 	return ret
 }

@@ -3,6 +3,7 @@ package absint
 import (
 	"repro/internal/ast"
 	"repro/internal/efsm"
+	"repro/internal/kernel"
 	"repro/internal/source"
 )
 
@@ -119,21 +120,13 @@ type analysis struct {
 func (a *analysis) initialStore() *Store {
 	st := NewStore()
 	for _, v := range a.m.Mod.Vars {
-		st.Vars[v] = zeroOf(v.Type)
+		st.put(st.tab.varSlot(v), zeroOf(v.Type))
 	}
-	for _, sig := range a.m.Inputs {
-		if sig.Type != nil {
-			st.Sigs[sig] = zeroOf(sig.Type)
-		}
-	}
-	for _, sig := range a.m.Outputs {
-		if sig.Type != nil {
-			st.Sigs[sig] = zeroOf(sig.Type)
-		}
-	}
-	for _, sig := range a.m.Mod.Locals {
-		if sig.Type != nil {
-			st.Sigs[sig] = zeroOf(sig.Type)
+	for _, sigs := range [][]*kernel.Signal{a.m.Inputs, a.m.Outputs, a.m.Mod.Locals} {
+		for _, sig := range sigs {
+			if sig.Type != nil {
+				st.put(st.tab.sigSlot(sig), zeroOf(sig.Type))
+			}
 		}
 	}
 	return st
@@ -149,7 +142,7 @@ func (a *analysis) transfer(s *efsm.State, report bool) {
 	// any value this instant.
 	for _, sig := range a.m.Inputs {
 		if sig.Type != nil {
-			st.Sigs[sig] = topOf(sig.Type)
+			st.put(st.tab.sigSlot(sig), topOf(sig.Type))
 		}
 	}
 	it := &Interp{Info: a.m.Info, St: st}
@@ -283,7 +276,10 @@ func (a *analysis) flowInto(to *efsm.State, st *Store) {
 		a.enqueue(to)
 		return
 	}
-	prev := cur.Clone()
+	var prev *Store // only the widening join needs the entry it grew from
+	if a.joins[to]+1 >= stateJoinWiden {
+		prev = cur.Clone()
+	}
 	if !cur.JoinWith(st) {
 		return
 	}

@@ -133,13 +133,14 @@ func (it *Interp) slotWrite(s slot, v Val) {
 	if it.St.Bot {
 		return
 	}
+	tab := it.St.tab
 	switch {
 	case s.sig != nil:
-		it.St.Sigs[s.sig] = v
+		it.St.put(tab.sigSlot(s.sig), v)
 	case s.frame != nil:
-		it.St.Frame[s.frame] = v
+		it.St.put(tab.frameSlot(s.frame), v)
 	default:
-		it.St.Vars[s.kv] = v
+		it.St.put(tab.varSlot(s.kv), v)
 	}
 }
 

@@ -1,10 +1,15 @@
 package driver
 
 import (
+	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/paperex"
+	"repro/internal/pipeline"
 )
 
 func diskDriver(t *testing.T, dir string) *Driver {
@@ -68,6 +73,63 @@ func TestDiskCacheServesSecondProcess(t *testing.T) {
 	cs = warmDriver.CacheStats()
 	if cs.DiskHits != 1 || cs.Hits != 1 {
 		t.Errorf("replay stats = %+v, want memory hit without a new disk probe", cs)
+	}
+}
+
+// TestDiskCacheStoresOnlyReadSnapshots: the store keeps a phase
+// snapshot only where a later build reads it back. examples/incremental.ecl
+// is built, then its data-function edit (acc + 2 -> acc + 7), then the
+// edit again unchanged, each by ExpandModules and Build with a fresh
+// driver and store handle, like separate eclc -all runs. The store then holds no parse or lower entries,
+// the edit build puts exactly the emit phases it rebuilt, and the
+// unchanged rebuild puts nothing.
+func TestDiskCacheStoresOnlyReadSnapshots(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "incremental.ecl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.ReplaceAll(string(src), "acc + 2", "acc + 7") // as the CI dogfood's sed
+	if edited == string(src) {
+		t.Fatal("examples/incremental.ecl has no acc + 2 to edit")
+	}
+	dir := t.TempDir()
+	build := func(source string) (*Driver, cache.Stats) {
+		t.Helper()
+		d := diskDriver(t, dir)
+		reqs, err := d.ExpandModules(Request{Path: "incremental.ecl", Source: source,
+			Targets: []Target{TargetEsterel, TargetC, TargetGlue, TargetStats}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Build(context.Background(), reqs); err != nil {
+			t.Fatal(err)
+		}
+		return d, d.Disk.Stats()
+	}
+
+	build(string(src))
+	d, st := build(edited)
+	var emitRebuilds int64
+	for ph, c := range d.CacheStats().Phases {
+		if pipeline.TargetName(ph) != "" {
+			emitRebuilds += c.Rebuilds
+		}
+	}
+	if emitRebuilds == 0 || st.PhasePuts != emitRebuilds {
+		t.Errorf("edit build put %d phase snapshots for %d emit rebuilds; want one each", st.PhasePuts, emitRebuilds)
+	}
+	d, st = build(edited)
+	if st.PhasePuts != 0 {
+		t.Errorf("unchanged rebuild put %d phase snapshots, want 0", st.PhasePuts)
+	}
+	inv, err := d.Disk.PhaseInventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range []pipeline.Phase{pipeline.PhaseParse, pipeline.PhaseLower} {
+		if n := inv[string(ph)].Entries; n != 0 {
+			t.Errorf("store holds %d %s entries, want none", n, ph)
+		}
 	}
 }
 

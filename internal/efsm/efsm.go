@@ -192,56 +192,59 @@ type DataCond struct {
 	Want bool
 }
 
-// Transitions enumerates all root-to-leaf paths of a state.
+// Transitions enumerates all root-to-leaf paths of a state, then
+// branches before else branches. Each transition owns its Inputs map
+// and its Data and Actions slices; a signal tested twice on one path
+// keeps its last outcome.
 func (m *Machine) Transitions(s *State) []*Transition {
 	var out []*Transition
-	var walk func(n Node, t *Transition)
-	walk = func(n Node, t *Transition) {
+	type inputTest struct {
+		sig  *kernel.Signal
+		want bool
+	}
+	// inputs, data and acts hold the path from the root to the node
+	// being walked.
+	var inputs []inputTest
+	var data []DataCond
+	var acts []Action
+	var walk func(n Node)
+	walk = func(n Node) {
 		switch n := n.(type) {
-		case nil:
-			return
 		case *ActNode:
-			tt := *t
-			tt.Actions = append(append([]Action{}, t.Actions...), n.Act)
-			walk(n.Next, &tt)
+			acts = append(acts, n.Act)
+			walk(n.Next)
+			acts = acts[:len(acts)-1]
 		case *InputBranch:
-			then := cloneTransition(t)
-			then.Inputs[n.Sig] = true
-			walk(n.Then, then)
-			els := cloneTransition(t)
-			els.Inputs[n.Sig] = false
-			walk(n.Else, els)
+			inputs = append(inputs, inputTest{n.Sig, true})
+			walk(n.Then)
+			inputs[len(inputs)-1].want = false
+			walk(n.Else)
+			inputs = inputs[:len(inputs)-1]
 		case *DataBranch:
-			then := cloneTransition(t)
-			then.Data = append(then.Data, DataCond{n.Expr, true})
-			walk(n.Then, then)
-			els := cloneTransition(t)
-			els.Data = append(els.Data, DataCond{n.Expr, false})
-			walk(n.Else, els)
+			data = append(data, DataCond{n.Expr, true})
+			walk(n.Then)
+			data[len(data)-1].Want = false
+			walk(n.Else)
+			data = data[:len(data)-1]
 		case *Leaf:
-			tt := cloneTransition(t)
-			tt.To = n.To
-			tt.Term = n.Terminal
-			out = append(out, tt)
+			t := &Transition{
+				From:    s,
+				To:      n.To,
+				Inputs:  make(map[*kernel.Signal]bool, len(inputs)),
+				Data:    make([]DataCond, len(data)),
+				Actions: make([]Action, len(acts)),
+				Term:    n.Terminal,
+			}
+			for _, in := range inputs {
+				t.Inputs[in.sig] = in.want
+			}
+			copy(t.Data, data)
+			copy(t.Actions, acts)
+			out = append(out, t)
 		}
 	}
-	walk(s.Root, &Transition{From: s, Inputs: map[*kernel.Signal]bool{}})
+	walk(s.Root)
 	return out
-}
-
-func cloneTransition(t *Transition) *Transition {
-	c := &Transition{
-		From:    t.From,
-		To:      t.To,
-		Inputs:  make(map[*kernel.Signal]bool, len(t.Inputs)),
-		Data:    append([]DataCond{}, t.Data...),
-		Actions: append([]Action{}, t.Actions...),
-		Term:    t.Term,
-	}
-	for k, v := range t.Inputs {
-		c.Inputs[k] = v
-	}
-	return c
 }
 
 // GuardString renders a transition guard for display.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/analyze"
@@ -211,21 +212,13 @@ func EnvFingerprint(file *ast.File) string {
 // Together they cover the full lowering result: any edit moves at
 // least one of them, and a data-only edit moves only the second.
 func Fingerprints(file *ast.File, low *lower.Result) (structural, data string, err error) {
-	structural, data, _, err = fingerprints(file, low)
-	return structural, data, err
-}
-
-// fingerprints additionally returns the encoded full snapshot (the
-// lower phase's cache blob), so Run serializes the module once instead
-// of re-walking it through EncodeLowered.
-func fingerprints(file *ast.File, low *lower.Result) (structural, data string, encoded []byte, err error) {
 	structSnap, err := buildLowSnap(low, false)
 	if err != nil {
-		return "", "", nil, err
+		return "", "", err
 	}
 	structBytes, err := json.Marshal(structSnap)
 	if err != nil {
-		return "", "", nil, err
+		return "", "", err
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "ecl-struct:c%d", snapCodecVersion)
@@ -233,21 +226,23 @@ func fingerprints(file *ast.File, low *lower.Result) (structural, data string, e
 	hpart(h, string(structBytes))
 	structural = hsum(h)
 
-	fullSnap, err := buildLowSnap(low, true)
-	if err != nil {
-		return "", "", nil, err
-	}
-	encoded, err = json.Marshal(fullSnap)
-	if err != nil {
-		return "", "", nil, err
-	}
+	// The data key hashes each function's name, label and printed body,
+	// lines joined by newlines: the funcSnap fields EncodeLowered
+	// stores, so it matches the stored snapshot's functions exactly.
 	hd := sha256.New()
 	fmt.Fprintf(hd, "ecl-data:c%d", snapCodecVersion)
-	for _, f := range fullSnap.Funcs {
+	var body strings.Builder
+	for _, f := range low.Module.Funcs {
 		hpart(hd, f.Name)
-		hpart(hd, f.Label)
-		hpart(hd, f.Body)
+		hpart(hd, f.B.Label)
+		body.Reset()
+		for i, st := range f.Body {
+			if i > 0 {
+				body.WriteByte('\n')
+			}
+			body.WriteString(ast.String(st))
+		}
+		hpart(hd, body.String())
 	}
-	data = hsum(hd)
-	return structural, data, encoded, nil
+	return structural, hsum(hd), nil
 }

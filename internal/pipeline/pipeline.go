@@ -1,23 +1,29 @@
 // Package pipeline models the ECL compilation flow as an explicit
 // phase graph. Each phase is a node with declared inputs, a content
 // key derived from its *inputs'* keys (not from the raw source), and —
-// where it pays — a serializable output snapshot:
+// only where a later build reads it back — a serializable output
+// snapshot:
 //
 //	parse ──► sem ──► lower ──► efsm ──► efsm-min ──► emit-* / stats
-//	  │                 │         ▲
-//	  │                 │  structural fingerprint (cuts the key chain)
-//	  └── printed AST   └── kernel IR snapshot + EFSM snapshot
+//	                    │         ▲          └──────► analyze
+//	                    │         │
+//	                    └── structural fingerprint (cuts the key chain)
 //
-// The front-end phases (parse, sem, lower) are cheap and chain their
-// keys source-downward. The efsm phase's key deliberately breaks the
-// chain: it derives from the lowered module's structural fingerprint,
-// which excludes data-function bodies, so an edit confined to a data
-// function changes the parse/sem/lower/emit keys but *not* the efsm
-// key — the Runner re-runs the cheap front end, replays the cached
-// machine snapshot against the fresh lowering, and only re-renders the
-// artifacts. That is the paper's separable-refinement story applied to
-// the build: refining the data part never pays for reactive synthesis
-// again.
+//	keyed only:       parse, sem, lower
+//	snapshot stored:  efsm, efsm-min (EFSM), analyze, analyze-file
+//	                  (findings), emit-*, stats (artifact texts)
+//
+// The front-end phases (parse, sem, lower) are cheap, always run, and
+// chain their keys source-downward; nothing reads their outputs back
+// from a store, so they store none. The efsm phase's key deliberately
+// breaks the chain: it derives from the lowered module's structural
+// fingerprint, which excludes data-function bodies, so an edit
+// confined to a data function changes the parse/sem/lower/emit keys
+// but *not* the efsm key — the Runner re-runs the cheap front end,
+// replays the cached machine snapshot against the fresh lowering, and
+// only re-renders the artifacts. That is the paper's
+// separable-refinement story applied to the build: refining the data
+// part never pays for reactive synthesis again.
 //
 // A Runner consults two tiers per phase — an in-process snapshot map
 // and the persistent store's v2 phase-keyed subtree (internal/cache) —
@@ -369,8 +375,6 @@ func (r *Runner) remember(key string, blobs map[string]string, persisted bool) {
 
 // Blob names within phase snapshots.
 const (
-	blobAST      = "ast"      // parse: printed AST
-	blobKernel   = "kernel"   // lower: serialized kernel IR
 	blobEFSM     = "efsm"     // efsm / efsm-min: serialized machine
 	blobText     = "text"     // emit phases: rendered artifact
 	blobJSON     = "json"     // stats: machine-readable core.Stats
@@ -399,8 +403,9 @@ func (r *Runner) Run(req Request) *Result {
 	// every module of the file — lowering never mutates the analysis
 	// tables (sem.Info.Derive), so the unit fans out safely. The
 	// request that builds the unit records rebuilt; followers record
-	// shared. sem itself stays un-snapshotted (its tables are
-	// pointer-keyed); its key anchors the chain.
+	// shared. Neither phase stores a snapshot (sem's tables are
+	// pointer-keyed, and no build reads a parsed file back); their keys
+	// anchor the chain.
 	u, built := r.unitFor(req)
 	frontStatus := StatusShared
 	if built {
@@ -432,7 +437,8 @@ func (r *Runner) Run(req Request) *Result {
 	res.Module = module
 
 	// lower: the reactive/data split. Cheap (linear), so it always
-	// runs; the kernel snapshot is stored for IR consumers.
+	// runs; its key anchors the analyze key, and nothing reads a
+	// lowered snapshot back, so none is stored.
 	lowerKey := KeyLower(semKey, module, req.Opts.Policy)
 	low, err := lower.Lower(info, module, req.Opts.Policy, &diags)
 	if err != nil {
@@ -440,13 +446,10 @@ func (r *Runner) Run(req Request) *Result {
 	}
 	record(PhaseLower, lowerKey, StatusRebuilt)
 
-	structFP, dataFP, lowSnapBytes, err := fingerprints(file, low)
+	structFP, dataFP, err := Fingerprints(file, low)
 	if err != nil {
 		// A module the codec cannot address is compiled uncached.
 		structFP, dataFP = "", ""
-	}
-	if structFP != "" && !r.alreadyStored(lowerKey) {
-		r.putSnap(PhaseLower, lowerKey, map[string]string{blobKernel: string(lowSnapBytes)})
 	}
 
 	// efsm: synthesis, or snapshot replay when the structural

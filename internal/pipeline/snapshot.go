@@ -106,8 +106,9 @@ type stmtSnap struct {
 }
 
 // EncodeLowered serializes a lowering result (module structure, data
-// function bodies included) into the phase snapshot stored in the
-// cache's v2 subtree.
+// function bodies included). The pipeline stores no lowered snapshot;
+// its structural half, without bodies, is what Fingerprints hashes
+// into the efsm key.
 func EncodeLowered(low *lower.Result) ([]byte, error) {
 	snap, err := buildLowSnap(low, true)
 	if err != nil {

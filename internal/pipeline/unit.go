@@ -129,9 +129,9 @@ func (r *Runner) fileAnalyze(u *unit) ([]analyze.Finding, Status) {
 }
 
 // buildUnit runs the front end once for the unit's file: preprocess,
-// parse (snapshotting the printed AST), and semantic analysis. The
-// unit's diagnostics stay local; failures surface through err/errPhase
-// and every sharing request reports them identically.
+// parse, and semantic analysis. The unit's diagnostics stay local;
+// failures surface through err/errPhase and every sharing request
+// reports them identically.
 func (r *Runner) buildUnit(u *unit, req Request) {
 	var diags source.DiagList
 	prep := pp.New(&diags, pp.MapResolver(req.Opts.Includes))
@@ -143,9 +143,6 @@ func (r *Runner) buildUnit(u *unit, req Request) {
 	if diags.HasErrors() {
 		u.err, u.errPhase = diags.Err(), PhaseParse
 		return
-	}
-	if !r.alreadyStored(u.parseKey) {
-		r.putSnap(PhaseParse, u.parseKey, map[string]string{blobAST: ast.String(u.file)})
 	}
 	u.semKey = KeySem(u.parseKey)
 	u.info = sem.Analyze(u.file, &diags)

@@ -548,7 +548,7 @@ func (d *Daemon) step(w http.ResponseWriter, r *http.Request) {
 	}
 	if stepErr != nil {
 		d.errCount.Add(1)
-		if !st.Encode(wireEvent{Error: stepErr.Error()}) {
+		if !st.Encode(stepError{Error: stepErr.Error()}) {
 			return
 		}
 	}

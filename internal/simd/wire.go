@@ -112,11 +112,18 @@ type Stats struct {
 	Errors    int64 `json:"errors"`
 }
 
-// wireEvent is one JSONL line of a step exchange: a canonical trace
-// event, or (as the final line of a failed batch) an error report.
+// wireEvent is one JSONL line of a step exchange as a client reads it:
+// a canonical trace event, or (as the final line of a failed batch) a
+// stepError report.
 type wireEvent struct {
 	exec.Event
 	Error string `json:"error,omitempty"`
+}
+
+// stepError is the line that ends a failed step batch. It carries no
+// event fields: the instant that failed is named in the message.
+type stepError struct {
+	Error string `json:"error"`
 }
 
 // lineReader yields the non-blank lines of a JSONL body, trimmed of
