@@ -10,8 +10,10 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,12 +35,17 @@ const analyzerCorpusGolden = "testdata/analyzer_corpus.golden"
 // deterministic string.
 func analyzeCorpus(t *testing.T, r *pipeline.Runner, seeds int) string {
 	t.Helper()
+	out, _ := analyzeFiles(t, r, corpusFiles(seeds))
+	return out
+}
+
+// corpusFiles lists the first seeds generated programs.
+func corpusFiles(seeds int) []genFile {
 	var files []genFile
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		files = append(files, genFile{fmt.Sprintf("gen%03d.ecl", seed), eclgen.Program(seed)})
 	}
-	out, _ := analyzeFiles(t, r, files)
-	return out
+	return files
 }
 
 // genFile is one generated source file and the path it is compiled as.
@@ -119,6 +126,19 @@ func TestAnalyzerGeneratedCorpus(t *testing.T) {
 		t.Errorf("cold findings diverge from %s", analyzerCorpusGolden)
 	}
 
+	// Batch order: the merged findings must not depend on the order the
+	// files are built in, so analyze.Sort must order findings that
+	// differ only in their module. Fresh runners over the warm store
+	// keep the shuffles cheap; the merge is what they exercise.
+	files := corpusFiles(seeds)
+	for shuffle := int64(1); shuffle <= 8; shuffle++ {
+		order := slices.Clone(files)
+		rand.New(rand.NewSource(shuffle)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if out, _ := analyzeFiles(t, pipeline.NewRunner(store), order); out != coldOut {
+			t.Errorf("shuffle %d: findings depend on the order files are built in", shuffle)
+		}
+	}
+
 	// Memory tier: the same runner serves the same corpus from its
 	// in-process snapshots.
 	memOut := analyzeCorpus(t, cold, seeds)
@@ -167,7 +187,7 @@ func TestAnalyzerGeneratedCorpus(t *testing.T) {
 func TestAnalyzerMegaFileFindings(t *testing.T) {
 	const (
 		wantN      = 985
-		wantSHA256 = "3d7a2b4ca3dbe196c8d2179e7bc444b4e98df6590f3fa9c468e2fcadd93a55b5"
+		wantSHA256 = "8d01070139b61cceb85bdf7e1a5695075e47bb051c7797fd507dab396bcf6ada"
 	)
 	out, n := analyzeFiles(t, pipeline.NewRunner(nil), []genFile{{"mega.ecl", eclgen.File(1, 300)}})
 	sum := sha256.Sum256([]byte(out))

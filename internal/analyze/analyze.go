@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/sem"
@@ -159,13 +160,17 @@ func RuleIDs() []string {
 
 // KeySalt fingerprints the shipped rule set for the analyze phase's
 // content key: same salt, same findings for the same design.
-func KeySalt() string {
-	s := fmt.Sprintf("ecl-analyze:v%d", rulesVersion)
+func KeySalt() string { return keySalt }
+
+// keySalt is KeySalt's value, built once from the fixed rule table:
+// "ecl-analyze:v<rulesVersion>" then ":<ID>=<severity>" per rule.
+var keySalt = func() string {
+	b := []byte("ecl-analyze:v" + strconv.Itoa(rulesVersion))
 	for _, r := range rules {
-		s += ":" + r.ID + "=" + r.Severity
+		b = append(append(append(append(b, ':'), r.ID...), '='), r.Severity...)
 	}
-	return s
-}
+	return string(b)
+}()
 
 // Analyze runs every rule over a compiled design and returns the
 // findings sorted by position, rule, and message (a deterministic
@@ -236,7 +241,10 @@ func FilterSeverity(fs []Finding, severity string) []Finding {
 	return out
 }
 
-// Sort orders findings by file, line, column, rule, then message.
+// Sort orders findings by file, line, column, rule, message, then
+// module, so findings tie only when they print the same: a batch's
+// merged findings come out in one order whatever order its files were
+// built in.
 func Sort(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -252,7 +260,10 @@ func Sort(fs []Finding) {
 		if a.Rule != b.Rule {
 			return a.Rule < b.Rule
 		}
-		return a.Message < b.Message
+		if a.Message != b.Message {
+			return a.Message < b.Message
+		}
+		return a.Module < b.Module
 	})
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"slices"
 	"strconv"
+
+	"repro/internal/jsonstr"
 )
 
 // The trace-event line codec. Every canonical Event line — trace files,
@@ -44,25 +46,10 @@ func appendStringMap(dst []byte, m map[string]string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(appendString(dst, k), ':')
-		dst = appendString(dst, m[k])
+		dst = append(jsonstr.Append(dst, k), ':')
+		dst = jsonstr.Append(dst, m[k])
 	}
 	return append(dst, '}')
-}
-
-// appendString appends s as a JSON string. A string that needs any
-// escaping under encoding/json's HTML-safe rules is handed to
-// encoding/json, so exotic names come out exactly as it writes them.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s) // a string always marshals
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // ParseEvent decodes one trace-event line into ev, overwriting it. The

@@ -25,10 +25,25 @@ func corruptV2Blobs(t *testing.T, dir string) {
 	}
 }
 
+// escapeSource keeps inline expressions (kernel statements, not data
+// functions) whose printed text JSON escapes.
+const escapeSource = `module m (input int x, output int y) {
+	int acc;
+	char c;
+	acc = 0;
+	while (1) {
+		await (x);
+		if (x < 3 && acc > 1) { acc = acc & 7; }
+		c = '\\';
+		if (c == '\\' || x >= 9) { emit_v (y, acc); }
+	}
+}`
+
 // FuzzSnapshotRoundTrip fuzzes the IR codecs: any source the compiler
 // accepts must produce lowered and machine snapshots that survive
 // Encode -> Decode -> Encode byte-identically, and the decoded machine
-// must keep the state count. Registered in the CI fuzz job.
+// must keep the state count; the lowered snapshot's appender must
+// match the reference encoder. Registered in the CI fuzz job.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(paperex.ABRO)
 	f.Add(paperex.Buffer)
@@ -44,6 +59,10 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		emit_v (y, acc);
 	}
 }`)
+	// Inline expressions whose printed text needs JSON escaping: <, >
+	// and & (HTML-safe escapes) and a char literal holding a backslash.
+	f.Add(escapeSource)
+	f.Add(`module m (input int x, output int y) { while (1) { await (x); if (x > 0) { emit_v (y, (x << 2) >> 1); } } }`)
 	f.Fuzz(func(t *testing.T, src string) {
 		opts := core.Options{
 			// Bound exploration so pathological fuzz inputs fail fast
@@ -62,6 +81,10 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
+
+		// The appender must write what the reference encoder marshals,
+		// with and without bodies, error for error.
+		checkAppender(t, "fuzz", d.Lowered)
 
 		enc, err := EncodeLowered(d.Lowered)
 		if err != nil {

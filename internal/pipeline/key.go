@@ -3,11 +3,8 @@ package pipeline
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"hash"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/analyze"
@@ -28,44 +25,70 @@ import (
 // against an integer in that integer's promoted type.
 const keyGeneration = 3
 
-// fph starts a phase-key hash, salted with the phase name and the key
-// and codec generations.
-func fph(phase Phase) hash.Hash {
-	h := sha256.New()
-	fmt.Fprintf(h, "ecl-phase:%s:g%d:c%d", phase, keyGeneration, snapCodecVersion)
-	return h
+// keyBufSize is the stack buffer a phase key starts in: enough for
+// the header, two chained keys and the analyzer's rule salt.
+const keyBufSize = 512
+
+// appendKeyHeader starts a phase key's hashed bytes, salted with the
+// phase name and the key and codec generations:
+// "ecl-phase:<phase>:g<keyGeneration>:c<snapCodecVersion>".
+func appendKeyHeader(b []byte, phase Phase) []byte {
+	b = append(append(b, "ecl-phase:"...), phase...)
+	b = strconv.AppendInt(append(b, ":g"...), keyGeneration, 10)
+	return strconv.AppendInt(append(b, ":c"...), snapCodecVersion, 10)
 }
 
-func hpart(h hash.Hash, part string) {
-	fmt.Fprintf(h, "\x00%d:", len(part))
-	h.Write([]byte(part))
+// appendPart appends one length-prefixed part: "\x00<len>:<part>".
+func appendPart[T string | []byte](b []byte, part T) []byte {
+	b = strconv.AppendInt(append(b, 0), int64(len(part)), 10)
+	return append(append(b, ':'), part...)
 }
 
-func hsum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
+// sealPart makes b[mark:] a part, inserting the length prefix
+// appendPart would have written before it; for parts appended in
+// place, whose length is known only afterwards.
+func sealPart(b []byte, mark int) []byte {
+	var pre [24]byte
+	p := strconv.AppendInt(append(pre[:0], 0), int64(len(b)-mark), 10)
+	return slices.Insert(b, mark, append(p, ':')...)
+}
 
-func hmap(h hash.Hash, tag string, m map[string]string) {
-	keys := make([]string, 0, len(m))
+// appendMap appends a map section, keys sorted:
+// "\x00<tag>:<n>" then "\x00<k>\x01<v>" per entry.
+func appendMap(b []byte, tag string, m map[string]string) []byte {
+	var small [16]string
+	keys := small[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	fmt.Fprintf(h, "\x00%s:%d", tag, len(keys))
+	slices.Sort(keys)
+	b = append(append(append(b, 0), tag...), ':')
+	b = strconv.AppendInt(b, int64(len(keys)), 10)
 	for _, k := range keys {
-		fmt.Fprintf(h, "\x00%s\x01%s", k, m[k])
+		b = append(append(append(append(b, 0), k...), 1), m[k]...)
 	}
+	return b
+}
+
+// sumKey returns the hex SHA-256 digest of a key's bytes.
+func sumKey(b []byte) string {
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // KeyParse fingerprints the parse phase: the source bytes (by SHA-256
 // digest), the path (diagnostics and positions carry it), and the
 // preprocessor configuration.
 func KeyParse(path, src string, opts core.Options) string {
-	h := fph(PhaseParse)
-	hpart(h, path)
+	var buf [keyBufSize]byte
+	b := appendPart(appendKeyHeader(buf[:0], PhaseParse), path)
 	sum := sourceDigest(src)
-	hpart(h, string(sum[:]))
-	hmap(h, "def", opts.Defines)
-	hmap(h, "inc", opts.Includes)
-	return hsum(h)
+	b = appendPart(b, sum[:])
+	b = appendMap(b, "def", opts.Defines)
+	b = appendMap(b, "inc", opts.Includes)
+	return sumKey(b)
 }
 
 // lastSource memoizes the digest of the most recently keyed source. A
@@ -102,19 +125,17 @@ func sourceDigest(src string) [sha256.Size]byte {
 // KeySem chains from parse: semantic analysis has no options of its
 // own.
 func KeySem(parseKey string) string {
-	h := fph(PhaseSem)
-	hpart(h, parseKey)
-	return hsum(h)
+	var buf [keyBufSize]byte
+	return sumKey(appendPart(appendKeyHeader(buf[:0], PhaseSem), parseKey))
 }
 
 // KeyLower chains from sem plus the selected module and splitter
 // policy.
 func KeyLower(semKey, module string, pol lower.Policy) string {
-	h := fph(PhaseLower)
-	hpart(h, semKey)
-	hpart(h, module)
-	fmt.Fprintf(h, "\x00pol:%d", pol)
-	return hsum(h)
+	var buf [keyBufSize]byte
+	b := appendPart(appendPart(appendKeyHeader(buf[:0], PhaseLower), semKey), module)
+	b = strconv.AppendInt(append(b, "\x00pol:"...), int64(pol), 10)
+	return sumKey(b)
 }
 
 // KeyEFSM is the pipeline's cut point: it derives from the lowered
@@ -123,17 +144,18 @@ func KeyLower(semKey, module string, pol lower.Policy) string {
 // particular, a data-function body edit) keeps the EFSM key stable
 // and replays the cached machine.
 func KeyEFSM(structFP string, opts compile.Options) string {
-	h := fph(PhaseEFSM)
-	hpart(h, structFP)
-	fmt.Fprintf(h, "\x00cmp:%d:%d:%d", opts.MaxStates, opts.MaxRunsPerState, opts.MaxDecisionsPerRun)
-	return hsum(h)
+	var buf [keyBufSize]byte
+	b := appendPart(appendKeyHeader(buf[:0], PhaseEFSM), structFP)
+	b = strconv.AppendInt(append(b, "\x00cmp:"...), int64(opts.MaxStates), 10)
+	b = strconv.AppendInt(append(b, ':'), int64(opts.MaxRunsPerState), 10)
+	b = strconv.AppendInt(append(b, ':'), int64(opts.MaxDecisionsPerRun), 10)
+	return sumKey(b)
 }
 
 // KeyEFSMMin chains from the unminimized machine's key.
 func KeyEFSMMin(efsmKey string) string {
-	h := fph(PhaseEFSMMin)
-	hpart(h, efsmKey)
-	return hsum(h)
+	var buf [keyBufSize]byte
+	return sumKey(appendPart(appendKeyHeader(buf[:0], PhaseEFSMMin), efsmKey))
 }
 
 // KeyAnalyze fingerprints the static-analysis phase: the machine it
@@ -145,11 +167,9 @@ func KeyEFSMMin(efsmKey string) string {
 // registry's salt, so adding, removing, or revising a rule invalidates
 // every cached findings snapshot.
 func KeyAnalyze(machineKey, lowerKey string) string {
-	h := fph(PhaseAnalyze)
-	hpart(h, machineKey)
-	hpart(h, lowerKey)
-	hpart(h, analyze.KeySalt())
-	return hsum(h)
+	var buf [keyBufSize]byte
+	b := appendPart(appendPart(appendKeyHeader(buf[:0], PhaseAnalyze), machineKey), lowerKey)
+	return sumKey(appendPart(b, analyze.KeySalt()))
 }
 
 // KeyAnalyzeFile fingerprints the design-level analysis of one file:
@@ -158,23 +178,21 @@ func KeyAnalyze(machineKey, lowerKey string) string {
 // module, policy, or machine enters the key — the design rules read
 // only the semantic tables, once per file.
 func KeyAnalyzeFile(semKey string) string {
-	h := fph(PhaseAnalyzeFile)
-	hpart(h, semKey)
-	hpart(h, analyze.KeySalt())
-	return hsum(h)
+	var buf [keyBufSize]byte
+	b := appendPart(appendKeyHeader(buf[:0], PhaseAnalyzeFile), semKey)
+	return sumKey(appendPart(b, analyze.KeySalt()))
 }
 
 // KeyEmit fingerprints one emission: the machine it renders (by phase
 // key), the data-function bodies the back ends inline (by data
 // fingerprint), and the requested Go package name for emit-go.
 func KeyEmit(phase Phase, machineKey, dataFP, goPkg string) string {
-	h := fph(phase)
-	hpart(h, machineKey)
-	hpart(h, dataFP)
+	var buf [keyBufSize]byte
+	b := appendPart(appendPart(appendKeyHeader(buf[:0], phase), machineKey), dataFP)
 	if phase == PhaseEmitGo {
-		hpart(h, goPkg)
+		b = appendPart(b, goPkg)
 	}
-	return hsum(h)
+	return sumKey(b)
 }
 
 // ---------------------------------------------------------------------------
@@ -187,15 +205,15 @@ func KeyEmit(phase Phase, machineKey, dataFP, goPkg string) string {
 // calls and enum values), so they are part of the structural
 // fingerprint even though the kernel tree does not spell them out.
 func EnvFingerprint(file *ast.File) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "ecl-env:c%d", snapCodecVersion)
+	var buf [keyBufSize]byte
+	b := strconv.AppendInt(append(buf[:0], "ecl-env:c"...), snapCodecVersion, 10)
 	for _, d := range file.Decls {
 		if _, isMod := d.(*ast.ModuleDecl); isMod {
 			continue
 		}
-		hpart(h, ast.String(d))
+		b = appendPart(b, ast.String(d))
 	}
-	return hsum(h)
+	return sumKey(b)
 }
 
 // Fingerprints computes the two content fingerprints of a lowered
@@ -212,37 +230,34 @@ func EnvFingerprint(file *ast.File) string {
 // Together they cover the full lowering result: any edit moves at
 // least one of them, and a data-only edit moves only the second.
 func Fingerprints(file *ast.File, low *lower.Result) (structural, data string, err error) {
-	structSnap, err := buildLowSnap(low, false)
-	if err != nil {
+	return fingerprints(EnvFingerprint(file), low)
+}
+
+// fingerprints is Fingerprints over an already computed environment
+// fingerprint: every module of a file shares one, so a batch computes
+// it once per file (see unit.envFP).
+func fingerprints(envFP string, low *lower.Result) (structural, data string, err error) {
+	// The structural key hashes the environment fingerprint and the
+	// lowered snapshot without bodies, written in place behind it. The
+	// recursive appender keeps the buffer off the stack, so it starts
+	// at a size that holds a typical module's snapshot.
+	b := strconv.AppendInt(append(make([]byte, 0, 2048), "ecl-struct:c"...), snapCodecVersion, 10)
+	b = appendPart(b, envFP)
+	mark := len(b)
+	if b, err = appendLowered(b, low, false); err != nil {
 		return "", "", err
 	}
-	structBytes, err := json.Marshal(structSnap)
-	if err != nil {
-		return "", "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "ecl-struct:c%d", snapCodecVersion)
-	hpart(h, EnvFingerprint(file))
-	hpart(h, string(structBytes))
-	structural = hsum(h)
+	structural = sumKey(sealPart(b, mark))
 
 	// The data key hashes each function's name, label and printed body,
 	// lines joined by newlines: the funcSnap fields EncodeLowered
 	// stores, so it matches the stored snapshot's functions exactly.
-	hd := sha256.New()
-	fmt.Fprintf(hd, "ecl-data:c%d", snapCodecVersion)
-	var body strings.Builder
+	var dbuf [keyBufSize]byte
+	d := strconv.AppendInt(append(dbuf[:0], "ecl-data:c"...), snapCodecVersion, 10)
 	for _, f := range low.Module.Funcs {
-		hpart(hd, f.Name)
-		hpart(hd, f.B.Label)
-		body.Reset()
-		for i, st := range f.Body {
-			if i > 0 {
-				body.WriteByte('\n')
-			}
-			body.WriteString(ast.String(st))
-		}
-		hpart(hd, body.String())
+		d = appendPart(appendPart(d, f.Name), f.B.Label)
+		mark := len(d)
+		d = sealPart(appendFuncBody(d, f), mark)
 	}
-	return structural, hsum(hd), nil
+	return structural, sumKey(d), nil
 }

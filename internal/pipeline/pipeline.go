@@ -25,15 +25,20 @@
 // separable-refinement story applied to the build: refining the data
 // part never pays for reactive synthesis again.
 //
-// A Runner consults two tiers per phase — an in-process snapshot map
-// and the persistent store's v2 phase-keyed subtree (internal/cache) —
-// and records one PhaseResult per phase walked, which the driver
-// aggregates into PhaseStats and eclc prints with -explain.
+// A Runner consults its tiers per phase — a memory tier of decoded
+// outputs, the persistent store's v2 phase-keyed subtree
+// (internal/cache) and an optional remote tier — and records one
+// PhaseResult per phase walked, which the driver aggregates into
+// PhaseStats and eclc prints with -explain. Snapshots are encoded only
+// for the persistent tiers: a memory-only build encodes nothing, and
+// its keys and fingerprints are hashed from bytes appended directly,
+// without encoding/json or fmt.
 package pipeline
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/analyze"
@@ -143,7 +148,8 @@ type Status string
 const (
 	// StatusRebuilt: the phase ran for real.
 	StatusRebuilt Status = "rebuilt"
-	// StatusMemHit: served from the in-process snapshot cache.
+	// StatusMemHit: served from the Runner's memory tier (a key it
+	// built or loaded before).
 	StatusMemHit Status = "mem-hit"
 	// StatusDiskHit: decoded from the persistent v2 phase store.
 	StatusDiskHit Status = "disk-hit"
@@ -217,10 +223,13 @@ type Result struct {
 	ErrPhase     Phase
 }
 
-// Runner walks the phase graph with three snapshot tiers: an
-// in-process map, the persistent store's v2 subtree, and an optional
-// shared remote tier. The zero value runs uncached; a Runner is safe
-// for concurrent use.
+// Runner walks the phase graph with three tiers: memory, the
+// persistent store's v2 subtree, and an optional shared remote tier.
+// The memory tier holds each key's output decoded — the machine with
+// the lowering it is bound to, the findings, the artifact text and
+// stats — for every key this Runner built or loaded; a snapshot is
+// encoded only when a disk or remote tier is written. The zero value
+// caches in memory only; a Runner is safe for concurrent use.
 type Runner struct {
 	// Disk is the persistent phase-snapshot tier (nil: memory only).
 	Disk *cache.Store
@@ -238,10 +247,30 @@ type Runner struct {
 	NoShare bool
 
 	mu     sync.Mutex
-	mem    map[string]map[string]string // phase key -> blob name -> content
-	stored map[string]bool              // phase keys already persisted by this process
-	units  map[string]*unit             // parse key -> shared front end
+	mem    map[string]memEntry // phase key -> decoded output built or loaded here
+	stored map[string]bool     // phase keys a persistent tier holds (written or loaded here)
+	units  map[string]*unit    // parse key -> shared front end
 	stats  PhaseStats
+}
+
+// memEntry is one phase's output in the memory tier, held decoded:
+// nothing is encoded for this tier, so a build without a persistent
+// tier encodes nothing at all. Which fields are set depends on the
+// phase.
+type memEntry struct {
+	// efsm, efsm-min: the machine, the lowering it is bound to and
+	// their structural fingerprint. A hit rebinds the machine to the
+	// walk's own lowering (see rebind).
+	machine  *efsm.Machine
+	low      *lower.Result
+	structFP string
+	// analyze, analyze-file: the findings, never handed out (a hit
+	// returns a copy).
+	findings []analyze.Finding
+	// emit phases: the artifact text; for stats also the parsed
+	// core.Stats, never handed out (a hit returns a copy).
+	text  string
+	stats *core.Stats
 }
 
 // NewRunner returns a Runner over the given persistent store (nil for
@@ -283,37 +312,54 @@ func (r *Runner) count(ph Phase, st Status) {
 	r.stats[ph] = c
 }
 
-// getSnap fetches a phase snapshot: memory first, then the v2 disk
-// subtree, then the shared remote tier — populating the nearer tiers
-// on a hit. ok=false is a miss.
-func (r *Runner) getSnap(key string, want []string) (map[string]string, Status, bool) {
+// memGet returns the output this Runner built or loaded for key.
+func (r *Runner) memGet(key string) (memEntry, bool) {
 	if r.NoCache || key == "" {
-		return nil, "", false
+		return memEntry{}, false
 	}
-	// Copy the wanted blobs while holding the lock: remember() merges
-	// into the per-key map in place, and phase keys are shared across
-	// requests, so an unlocked read would race a concurrent merge.
 	r.mu.Lock()
-	blobs, ok := r.mem[key]
-	var out map[string]string
-	if ok {
-		out = make(map[string]string, len(want))
-		for _, w := range want {
-			text, ok := blobs[w]
-			if !ok {
-				out = nil
-				break
-			}
-			out[w] = text
-		}
+	defer r.mu.Unlock()
+	e, ok := r.mem[key]
+	return e, ok
+}
+
+// memPut records a phase's output in the memory tier. stored marks the
+// key as held by a persistent tier (written there, or loaded from it),
+// so machinePhase does not encode it again.
+func (r *Runner) memPut(key string, e memEntry, stored bool) {
+	if r.NoCache || key == "" {
+		return
 	}
-	r.mu.Unlock()
-	if out != nil {
-		return out, StatusMemHit, true
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.mem == nil {
+		r.mem = make(map[string]memEntry)
+	}
+	r.mem[key] = e
+	if stored {
+		if r.stored == nil {
+			r.stored = make(map[string]bool)
+		}
+		r.stored[key] = true
+	}
+}
+
+// persistent reports whether a freshly built snapshot for key goes to
+// a persistent tier, and so must be encoded at all.
+func (r *Runner) persistent(key string) bool {
+	return !r.NoCache && key != "" && (r.Disk != nil || r.Remote != nil)
+}
+
+// fetch reads a phase snapshot from the persistent tiers: the v2 disk
+// subtree, then the shared remote tier, whose hits are written
+// through to disk. ok=false is a miss. The caller decodes the blobs
+// and, if they decode, records the value with memPut(…, true).
+func (r *Runner) fetch(key string, want []string) (blobs map[string]string, st Status, ok bool) {
+	if !r.persistent(key) {
+		return nil, "", false
 	}
 	if r.Disk != nil {
 		if e, ok := r.Disk.GetPhase(key, want); ok {
-			r.remember(key, e.Blobs, true)
 			return e.Blobs, StatusDiskHit, true
 		}
 	}
@@ -324,20 +370,17 @@ func (r *Runner) getSnap(key string, want []string) (map[string]string, Status, 
 			if r.Disk != nil {
 				r.Disk.PutPhase(key, e)
 			}
-			r.remember(key, e.Blobs, true)
 			return e.Blobs, StatusRemoteHit, true
 		}
 	}
 	return nil, "", false
 }
 
-// putSnap records a freshly built snapshot in every tier (best-effort
-// beyond memory: a full disk or dead remote never fails the build; the
-// remote client uploads asynchronously).
-func (r *Runner) putSnap(ph Phase, key string, blobs map[string]string) {
-	if r.NoCache || key == "" || len(blobs) == 0 {
-		return
-	}
+// persist writes a freshly built snapshot to the persistent tiers
+// (best-effort: a full disk or dead remote never fails the build; the
+// remote client uploads asynchronously) and reports whether the disk
+// write succeeded.
+func (r *Runner) persist(ph Phase, key string, blobs map[string]string) bool {
 	persisted := false
 	if r.Disk != nil {
 		persisted = r.Disk.PutPhase(key, &cache.PhaseEntry{Phase: string(ph), Blobs: blobs}) == nil
@@ -345,32 +388,34 @@ func (r *Runner) putSnap(ph Phase, key string, blobs map[string]string) {
 	if r.Remote != nil {
 		r.Remote.PutPhase(key, &cache.PhaseEntry{Phase: string(ph), Blobs: blobs})
 	}
-	r.remember(key, blobs, persisted)
+	return persisted
 }
 
-func (r *Runner) remember(key string, blobs map[string]string, persisted bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.mem == nil {
-		r.mem = make(map[string]map[string]string)
+// findingsPhase serves one findings phase (analyze or analyze-file)
+// from the tiers, falling back to run. The caller owns the returned
+// slice: the memory tier keeps its own copy.
+func (r *Runner) findingsPhase(ph Phase, key string, run func() []analyze.Finding) ([]analyze.Finding, Status) {
+	if e, ok := r.memGet(key); ok {
+		return slices.Clone(e.findings), StatusMemHit
 	}
-	if merged, ok := r.mem[key]; ok {
-		for k, v := range blobs {
-			merged[k] = v
+	if blobs, st, ok := r.fetch(key, []string{blobFindings}); ok {
+		if fs, err := analyze.Decode([]byte(blobs[blobFindings])); err == nil {
+			r.memPut(key, memEntry{findings: slices.Clone(fs)}, true)
+			return fs, st
 		}
-	} else {
-		cp := make(map[string]string, len(blobs))
-		for k, v := range blobs {
-			cp[k] = v
-		}
-		r.mem[key] = cp
 	}
-	if persisted {
-		if r.stored == nil {
-			r.stored = make(map[string]bool)
-		}
-		r.stored[key] = true
+	fs := run()
+	if fs == nil {
+		fs = []analyze.Finding{}
 	}
+	stored := false
+	if r.persistent(key) {
+		if enc, err := analyze.Encode(fs); err == nil {
+			stored = r.persist(ph, key, map[string]string{blobFindings: string(enc)})
+		}
+	}
+	r.memPut(key, memEntry{findings: slices.Clone(fs)}, stored)
+	return fs, StatusRebuilt
 }
 
 // Blob names within phase snapshots.
@@ -446,7 +491,7 @@ func (r *Runner) Run(req Request) *Result {
 	}
 	record(PhaseLower, lowerKey, StatusRebuilt)
 
-	structFP, dataFP, err := Fingerprints(file, low)
+	structFP, dataFP, err := fingerprints(u.envFP, low)
 	if err != nil {
 		// A module the codec cannot address is compiled uncached.
 		structFP, dataFP = "", ""
@@ -505,23 +550,9 @@ func (r *Runner) Run(req Request) *Result {
 		if machineKey != "" {
 			key = KeyAnalyze(machineKey, lowerKey)
 		}
-		if blobs, st, ok := r.getSnap(key, []string{blobFindings}); ok {
-			if fs, err := analyze.Decode([]byte(blobs[blobFindings])); err == nil {
-				res.Findings = fs
-				record(PhaseAnalyze, key, st)
-			}
-		}
-		if res.Findings == nil {
-			fs := analyze.Analyze(res.Design)
-			if fs == nil {
-				fs = []analyze.Finding{}
-			}
-			res.Findings = fs
-			record(PhaseAnalyze, key, StatusRebuilt)
-			if enc, err := analyze.Encode(res.Findings); err == nil {
-				r.putSnap(PhaseAnalyze, key, map[string]string{blobFindings: string(enc)})
-			}
-		}
+		fs, st := r.findingsPhase(PhaseAnalyze, key, func() []analyze.Finding { return analyze.Analyze(res.Design) })
+		res.Findings = fs
+		record(PhaseAnalyze, key, st)
 	}
 
 	// Emission: per-phase keyed by machine + data bodies, so a
@@ -534,60 +565,91 @@ func (r *Runner) Run(req Request) *Result {
 		if machineKey != "" {
 			key = KeyEmit(ph, machineKey, dataFP, req.GoPackage)
 		}
-		want := []string{blobText}
-		if ph == PhaseEmitStats {
-			want = append(want, blobJSON)
-		}
-		if blobs, st, ok := r.getSnap(key, want); ok {
-			if ph != PhaseEmitStats || res.decodeStats(blobs[blobJSON]) {
-				res.Artifacts[ph] = blobs[blobText]
-				record(ph, key, st)
-				continue
-			}
-		}
-		text, err := Emit(res.Design, ph, req.GoPackage)
+		text, stats, st, err := r.emitPhase(ph, key, res.Design, req.GoPackage)
 		if err != nil {
 			res.EmitErrs[ph] = err
 			record(ph, key, StatusFailed)
 			continue
 		}
 		res.Artifacts[ph] = text
-		blobs := map[string]string{blobText: text}
-		if ph == PhaseEmitStats {
-			stt := res.Design.Stats()
-			res.Stats = &stt
-			if js, err := marshalStats(&stt); err == nil {
-				blobs[blobJSON] = js
-			}
+		if stats != nil {
+			res.Stats = stats
 		}
-		record(ph, key, StatusRebuilt)
-		r.putSnap(ph, key, blobs)
+		record(ph, key, st)
 	}
 	return res
 }
 
-// decodeStats fills Result.Stats from the cached machine-readable
-// blob, reporting false (forcing a rebuild) when it does not decode.
-func (res *Result) decodeStats(js string) bool {
-	var st core.Stats
-	if err := json.Unmarshal([]byte(js), &st); err != nil {
-		return false
+// emitPhase serves one emit phase from the tiers, falling back to
+// rendering. stats is set for the stats phase only, and is the
+// caller's own copy.
+func (r *Runner) emitPhase(ph Phase, key string, design *core.Design, goPkg string) (text string, stats *core.Stats, st Status, err error) {
+	if e, ok := r.memGet(key); ok {
+		return e.text, e.statsCopy(), StatusMemHit, nil
 	}
-	res.Stats = &st
-	return true
+	want := []string{blobText}
+	if ph == PhaseEmitStats {
+		want = append(want, blobJSON)
+	}
+	if blobs, st, ok := r.fetch(key, want); ok {
+		e := memEntry{text: blobs[blobText]}
+		if ph == PhaseEmitStats {
+			var stt core.Stats
+			if json.Unmarshal([]byte(blobs[blobJSON]), &stt) == nil {
+				e.stats = &stt
+			}
+		}
+		if ph != PhaseEmitStats || e.stats != nil {
+			r.memPut(key, e, true)
+			return e.text, e.statsCopy(), st, nil
+		}
+	}
+	text, err = Emit(design, ph, goPkg)
+	if err != nil {
+		return "", nil, StatusFailed, err
+	}
+	e := memEntry{text: text}
+	if ph == PhaseEmitStats {
+		stt := design.Stats()
+		e.stats = &stt
+	}
+	stored := false
+	if r.persistent(key) {
+		blobs := map[string]string{blobText: text}
+		if e.stats != nil {
+			if js, err := json.Marshal(e.stats); err == nil {
+				blobs[blobJSON] = string(js)
+			}
+		}
+		stored = r.persist(ph, key, blobs)
+	}
+	r.memPut(key, e, stored)
+	return text, e.statsCopy(), StatusRebuilt, nil
 }
 
-func marshalStats(st *core.Stats) (string, error) {
-	data, err := json.Marshal(st)
-	return string(data), err
+// statsCopy returns a copy of the entry's stats, or nil.
+func (e memEntry) statsCopy() *core.Stats {
+	if e.stats == nil {
+		return nil
+	}
+	st := *e.stats
+	return &st
 }
 
 // machinePhase serves one machine-producing phase (efsm or efsm-min)
-// from the snapshot tiers, falling back to build. Decode failures
-// (corrupt snapshot, drifted module) degrade to a rebuild.
+// from the tiers, falling back to build. A memory hit is rebound to
+// the walk's own lowering; a failed rebind or decode (corrupt
+// snapshot, drifted module) falls through to the next tier and
+// finally to a rebuild.
 func (r *Runner) machinePhase(ph Phase, key string, low *lower.Result, structFP string, build func() (*efsm.Machine, error)) (*efsm.Machine, Status, error) {
-	if blobs, st, ok := r.getSnap(key, []string{blobEFSM}); ok {
+	if e, ok := r.memGet(key); ok {
+		if m, err := e.rebind(low, structFP); err == nil {
+			return m, StatusMemHit, nil
+		}
+	}
+	if blobs, st, ok := r.fetch(key, []string{blobEFSM}); ok {
 		if m, err := DecodeMachine([]byte(blobs[blobEFSM]), low, structFP); err == nil {
+			r.memPut(key, memEntry{machine: m, low: low, structFP: structFP}, true)
 			return m, st, nil
 		}
 	}
@@ -595,18 +657,29 @@ func (r *Runner) machinePhase(ph Phase, key string, low *lower.Result, structFP 
 	if err != nil {
 		return nil, StatusFailed, err
 	}
-	if key != "" && !r.alreadyStored(key) {
+	stored := false
+	if r.persistent(key) && !r.alreadyStored(key) {
 		if enc, err := EncodeMachine(m, low, structFP); err == nil {
-			r.putSnap(ph, key, map[string]string{blobEFSM: string(enc)})
+			stored = r.persist(ph, key, map[string]string{blobEFSM: string(enc)})
 		}
 	}
+	r.memPut(key, memEntry{machine: m, low: low, structFP: structFP}, stored)
 	return m, StatusRebuilt, nil
 }
 
-func (r *Runner) alreadyStored(key string) bool {
-	if r.NoCache || key == "" {
-		return false
+// rebind binds a remembered machine to a walk's fresh lowering through
+// the snapshot codec, so a data-only edit in a long-lived process still
+// gets the new data functions and expressions, and every integrity
+// check of the disk path applies.
+func (e memEntry) rebind(low *lower.Result, structFP string) (*efsm.Machine, error) {
+	enc, err := EncodeMachine(e.machine, e.low, e.structFP)
+	if err != nil {
+		return nil, err
 	}
+	return DecodeMachine(enc, low, structFP)
+}
+
+func (r *Runner) alreadyStored(key string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stored[key]

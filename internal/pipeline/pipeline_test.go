@@ -1,6 +1,10 @@
 package pipeline
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
@@ -263,5 +267,127 @@ func TestRunnerAnalyzePhase(t *testing.T) {
 		if pr.Phase == PhaseAnalyze {
 			t.Errorf("analyze phase walked without Analyze: %+v", pr)
 		}
+	}
+}
+
+// memTierRequest is the memory-tier tests' request: emits c, esterel
+// and stats, with analysis on.
+func memTierRequest(src string) Request {
+	return Request{Path: "inc.ecl", Source: src, Analyze: true,
+		Emits: []Phase{PhaseEmitC, PhaseEmitEsterel, PhaseEmitStats}}
+}
+
+// sameResult reports how got differs from want in artifacts, stats
+// and findings ("" when it does not).
+func sameResult(got, want *Result) string {
+	switch {
+	case got.Err != nil:
+		return fmt.Sprintf("failed: %v", got.Err)
+	case !maps.Equal(got.Artifacts, want.Artifacts):
+		return "artifacts differ"
+	case got.Stats == nil || *got.Stats != *want.Stats:
+		return fmt.Sprintf("stats %+v, want %+v", got.Stats, want.Stats)
+	case !slices.Equal(got.Findings, want.Findings):
+		return fmt.Sprintf("findings %+v, want %+v", got.Findings, want.Findings)
+	case !slices.Equal(got.FileFindings, want.FileFindings):
+		return fmt.Sprintf("file findings %+v, want %+v", got.FileFindings, want.FileFindings)
+	}
+	return ""
+}
+
+// TestRunnerMemoryTierRebindsAcrossDataEdit: a store-less Runner keeps
+// decoded machines in memory, and a data-only edit replays the machine
+// from there rebound to the edited lowering, so the edited build
+// renders the new data code exactly as a cold compile does.
+func TestRunnerMemoryTierRebindsAcrossDataEdit(t *testing.T) {
+	pure := (&Runner{NoCache: true}).Run(memTierRequest(dataEditSource(5)))
+	if pure.Err != nil {
+		t.Fatal(pure.Err)
+	}
+	r := &Runner{}
+	if res := r.Run(memTierRequest(dataEditSource(3))); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	res := r.Run(memTierRequest(dataEditSource(5)))
+	if st := statusOf(t, res, PhaseEFSM); st != StatusMemHit {
+		t.Errorf("edited efsm = %s, want mem-hit", st)
+	}
+	if st := statusOf(t, res, PhaseEmitC); st != StatusRebuilt {
+		t.Errorf("edited emit-c = %s, want rebuilt (the data code changed)", st)
+	}
+	if diff := sameResult(res, pure); diff != "" {
+		t.Errorf("edited build from the memory tier: %s", diff)
+	}
+	if res.Design.Machine.Mod != res.Design.Lowered.Module {
+		t.Error("replayed machine not bound to the edited lowering")
+	}
+
+	// A repeat is served from memory throughout.
+	again := r.Run(memTierRequest(dataEditSource(5)))
+	for _, ph := range []Phase{PhaseEFSM, PhaseAnalyze, PhaseEmitC, PhaseEmitEsterel, PhaseEmitStats} {
+		if st := statusOf(t, again, ph); st != StatusMemHit {
+			t.Errorf("repeat %s = %s, want mem-hit", ph, st)
+		}
+	}
+	if diff := sameResult(again, pure); diff != "" {
+		t.Errorf("repeat from the memory tier: %s", diff)
+	}
+}
+
+// TestRunnerMemoryTierHandsOutCopies: the findings and stats a walk
+// returns are the caller's own, whether built or served from memory;
+// mutating them leaves the memory tier intact.
+func TestRunnerMemoryTierHandsOutCopies(t *testing.T) {
+	req := memTierRequest(vetSource)
+	pure := (&Runner{NoCache: true}).Run(req)
+	if pure.Err != nil || len(pure.Findings) == 0 || pure.Stats == nil {
+		t.Fatalf("reference compile: %v, %d findings, stats %v", pure.Err, len(pure.Findings), pure.Stats)
+	}
+	r := &Runner{}
+	for pass := 0; pass < 3; pass++ {
+		res := r.Run(req)
+		if diff := sameResult(res, pure); diff != "" {
+			t.Fatalf("pass %d: %s", pass, diff)
+		}
+		if want := []Status{StatusRebuilt, StatusMemHit, StatusMemHit}[pass]; statusOf(t, res, PhaseAnalyze) != want {
+			t.Errorf("pass %d: analyze = %s, want %s", pass, statusOf(t, res, PhaseAnalyze), want)
+		}
+		res.Stats.EFSM.States++
+		for i := range res.Findings {
+			res.Findings[i].Message = "clobbered"
+		}
+	}
+}
+
+// TestRunnerMemoryTierConcurrent runs both sources of a data edit from
+// 8 goroutines on one store-less Runner: every result must equal a
+// NoCache compile of its source, whichever walk built or rebound the
+// shared machine. Run it under -race.
+func TestRunnerMemoryTierConcurrent(t *testing.T) {
+	var want [2]*Result
+	for i, factor := range []int{3, 5} {
+		want[i] = (&Runner{NoCache: true}).Run(memTierRequest(dataEditSource(factor)))
+		if want[i].Err != nil {
+			t.Fatal(want[i].Err)
+		}
+	}
+	r := &Runner{}
+	const workers, rounds = 8, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := (w + i) % 2
+				if diff := sameResult(r.Run(memTierRequest(dataEditSource(3+2*k))), want[k]); diff != "" {
+					t.Errorf("worker %d round %d (factor %d): %s", w, i, 3+2*k, diff)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if c := r.Stats()[PhaseEFSM]; c.MemHits == 0 || c.Rebuilds == 0 {
+		t.Errorf("efsm traffic %+v: want the machine built and then served from memory", c)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/ctypes"
+	"repro/internal/jsonstr"
 	"repro/internal/kernel"
 	"repro/internal/lower"
 	"repro/internal/parser"
@@ -34,6 +36,10 @@ const snapCodecVersion = 1
 // numbering, and fingerprints all match the original — but its
 // expressions carry fresh, unanalyzed bindings, so it cannot be
 // executed or recompiled without re-running the front end.
+//
+// The lowSnap types below are the schema DecodeLowered reads;
+// appendLowered writes that schema directly, byte for byte what
+// encoding/json would make of it.
 
 type lowSnap struct {
 	V        int        `json:"v"`
@@ -110,264 +116,290 @@ type stmtSnap struct {
 // its structural half, without bodies, is what Fingerprints hashes
 // into the efsm key.
 func EncodeLowered(low *lower.Result) ([]byte, error) {
-	snap, err := buildLowSnap(low, true)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(snap)
+	return appendLowered(nil, low, true)
 }
 
-func buildLowSnap(low *lower.Result, includeBodies bool) (*lowSnap, error) {
+// appendLowered appends low's snapshot to dst: byte for byte what
+// json.Marshal writes for the lowSnap schema above — fields in struct
+// order, every omitempty honoured, null for an empty child slot, and
+// HTML-safe string escaping — without building the snapshot tree.
+// Function bodies are written only when bodies is set; otherwise each
+// function's body is "". A module the codec cannot address (a signal
+// name declared twice, a reference to an undeclared signal, an exit
+// without a target, an unknown statement) reports an error.
+func appendLowered(dst []byte, low *lower.Result, bodies bool) ([]byte, error) {
 	mod := low.Module
-	enc := &lowEncoder{
-		mod:   mod,
-		sigs:  make(map[*kernel.Signal]string),
-		names: make(map[string]*kernel.Signal),
-	}
-	for _, s := range mod.Signals() {
-		if prev, ok := enc.names[s.Name]; ok && prev != s {
-			return nil, fmt.Errorf("pipeline: signal name %q is not unique; module not snapshotable", s.Name)
-		}
-		enc.names[s.Name] = s
-		enc.sigs[s] = s.Name
-	}
-	snap := &lowSnap{
-		V:      snapCodecVersion,
-		Module: mod.Name,
-		Policy: int(low.Policy),
-	}
-	if low.Info != nil {
-		for name := range low.Info.Types {
-			snap.Typedefs = append(snap.Typedefs, name)
-		}
-		sort.Strings(snap.Typedefs)
-	}
-	for _, s := range mod.Inputs {
-		snap.Inputs = append(snap.Inputs, sigSnapOf(s))
-	}
-	for _, s := range mod.Outputs {
-		snap.Outputs = append(snap.Outputs, sigSnapOf(s))
-	}
-	for _, s := range mod.Locals {
-		snap.Locals = append(snap.Locals, sigSnapOf(s))
-	}
-	for _, v := range mod.Vars {
-		snap.Vars = append(snap.Vars, varSnap{Name: v.Name, Type: typeSnapOf(v.Type)})
-	}
-	for _, f := range mod.Funcs {
-		fs := funcSnap{Name: f.Name, Label: f.B.Label}
-		if includeBodies {
-			var lines []string
-			for _, st := range f.Body {
-				lines = append(lines, ast.String(st))
+	a := make(lowAppender, len(mod.Inputs)+len(mod.Outputs)+len(mod.Locals))
+	for _, list := range [...][]*kernel.Signal{mod.Inputs, mod.Outputs, mod.Locals} {
+		for _, s := range list {
+			if prev, ok := a[s.Name]; ok && prev != s {
+				return dst, fmt.Errorf("pipeline: signal name %q is not unique; module not snapshotable", s.Name)
 			}
-			fs.Body = strings.Join(lines, "\n")
+			a[s.Name] = s
 		}
-		snap.Funcs = append(snap.Funcs, fs)
 	}
-	body, err := enc.stmt(mod.Body)
+	b := append(dst, `{"v":`...)
+	b = strconv.AppendInt(b, snapCodecVersion, 10)
+	b = jsonstr.Append(append(b, `,"module":`...), mod.Name)
+	b = strconv.AppendInt(append(b, `,"policy":`...), int64(low.Policy), 10)
+	if low.Info != nil && len(low.Info.Types) > 0 {
+		names := make([]string, 0, len(low.Info.Types))
+		for name := range low.Info.Types {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b = append(b, `,"typedefs":[`...)
+		for i, name := range names {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonstr.Append(b, name)
+		}
+		b = append(b, ']')
+	}
+	b = appendSigs(b, `,"inputs":[`, mod.Inputs)
+	b = appendSigs(b, `,"outputs":[`, mod.Outputs)
+	b = appendSigs(b, `,"locals":[`, mod.Locals)
+	if len(mod.Vars) > 0 {
+		b = append(b, `,"vars":[`...)
+		for i, v := range mod.Vars {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonstr.Append(append(b, `{"name":`...), v.Name)
+			b = append(appendType(b, v.Type), '}')
+		}
+		b = append(b, ']')
+	}
+	if len(mod.Funcs) > 0 {
+		b = append(b, `,"funcs":[`...)
+		for i, f := range mod.Funcs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonstr.Append(append(b, `{"name":`...), f.Name)
+			b = jsonstr.Append(append(b, `,"label":`...), f.B.Label)
+			b = append(b, `,"body":`...)
+			if bodies {
+				b = jsonstr.Append(b, string(appendFuncBody(nil, f)))
+			} else {
+				b = append(b, `""`...)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b, err := a.stmt(append(b, `,"body":`...), mod.Body)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	snap.Body = body
-	return snap, nil
+	return append(b, '}'), nil
 }
 
-func sigSnapOf(s *kernel.Signal) sigSnap {
-	return sigSnap{Name: s.Name, Pure: s.Pure, Type: typeSnapOf(s.Type)}
+// appendFuncBody appends a data function's printed statements,
+// newline-joined: the snapshot's body text and the data fingerprint's
+// input.
+func appendFuncBody(b []byte, f *kernel.DataFunc) []byte {
+	for i, st := range f.Body {
+		if i > 0 {
+			b = append(b, '\n')
+		}
+		b = append(b, ast.String(st)...)
+	}
+	return b
 }
 
-func typeSnapOf(t ctypes.Type) *typeSnap {
+// appendSigs appends a signal list under its opening text (key and
+// bracket), or nothing for an empty list.
+func appendSigs(b []byte, open string, sigs []*kernel.Signal) []byte {
+	if len(sigs) == 0 {
+		return b
+	}
+	b = append(b, open...)
+	for i, s := range sigs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonstr.Append(append(b, `{"name":`...), s.Name)
+		if s.Pure {
+			b = append(b, `,"pure":true`...)
+		}
+		b = append(appendType(b, s.Type), '}')
+	}
+	return append(b, ']')
+}
+
+// appendType appends a ",\"type\":…" member for t, or nothing for a nil
+// type.
+func appendType(b []byte, t ctypes.Type) []byte {
 	if t == nil {
-		return nil
+		return b
 	}
-	return &typeSnap{S: t.String(), K: int(t.Kind()), Size: t.Size(), Align: t.Align()}
+	b = jsonstr.Append(append(b, `,"type":{"s":`...), t.String())
+	b = strconv.AppendInt(append(b, `,"k":`...), int64(t.Kind()), 10)
+	b = strconv.AppendInt(append(b, `,"size":`...), int64(t.Size()), 10)
+	b = strconv.AppendInt(append(b, `,"align":`...), int64(t.Align()), 10)
+	return append(b, '}')
 }
 
-type lowEncoder struct {
-	mod   *kernel.Module
-	sigs  map[*kernel.Signal]string
-	names map[string]*kernel.Signal
-}
+// lowAppender writes the statement tree of appendLowered's snapshot.
+// It maps the module's signals by their unique names; its methods
+// take the buffer and return it extended, as the strconv appenders do.
+type lowAppender map[string]*kernel.Signal
 
-func (e *lowEncoder) sigName(s *kernel.Signal) (string, error) {
-	name, ok := e.sigs[s]
-	if !ok {
-		return "", fmt.Errorf("pipeline: signal %q not declared in module", s.Name)
+// sig appends a ",\"sig\":<name>" member naming a signal the module
+// declares.
+func (a lowAppender) sig(b []byte, s *kernel.Signal) ([]byte, error) {
+	if a[s.Name] != s {
+		return b, fmt.Errorf("pipeline: signal %q not declared in module", s.Name)
 	}
-	return name, nil
+	return appendName(b, `,"sig":`, s.Name), nil
 }
 
-func exprText(x kernel.Expr) *exprTextSnap {
+// appendName appends an omitempty string member: member (the key with
+// its comma and colon) and the value, or nothing for "".
+func appendName(b []byte, member, value string) []byte {
+	if value == "" {
+		return b
+	}
+	return jsonstr.Append(append(b, member...), value)
+}
+
+// appendExpr appends a data expression member: member (the key with
+// its comma and colon), then {"t":…,"l":…} holding the expression's
+// printed source and its binding's label.
+func appendExpr(b []byte, member string, x kernel.Expr) []byte {
 	label := ""
 	if x.B != nil {
 		label = x.B.Label
 	}
-	return &exprTextSnap{T: ast.ExprString(x.E), L: label}
+	b = jsonstr.Append(append(append(b, member...), `{"t":`...), ast.ExprString(x.E))
+	return append(jsonstr.Append(append(b, `,"l":`...), label), '}')
 }
 
-func (e *lowEncoder) sigx(x kernel.SigExpr) (*sigxSnap, error) {
+// sigx appends a signal expression object.
+func (a lowAppender) sigx(b []byte, x kernel.SigExpr) ([]byte, error) {
+	var err error
 	switch x := x.(type) {
 	case *kernel.SigRef:
-		name, err := e.sigName(x.Sig)
-		if err != nil {
-			return nil, err
-		}
-		return &sigxSnap{K: "ref", Sig: name}, nil
+		b, err = a.sig(append(b, `{"k":"ref"`...), x.Sig)
 	case *kernel.SigNot:
-		inner, err := e.sigx(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &sigxSnap{K: "not", X: inner}, nil
+		b, err = a.sigx(append(b, `{"k":"not","x":`...), x.X)
 	case *kernel.SigAnd:
-		a, err := e.sigx(x.X)
-		if err != nil {
-			return nil, err
-		}
-		b, err := e.sigx(x.Y)
-		if err != nil {
-			return nil, err
-		}
-		return &sigxSnap{K: "and", X: a, Y: b}, nil
+		b, err = a.sigxPair(append(b, `{"k":"and","x":`...), x.X, x.Y)
 	case *kernel.SigOr:
-		a, err := e.sigx(x.X)
-		if err != nil {
-			return nil, err
-		}
-		b, err := e.sigx(x.Y)
-		if err != nil {
-			return nil, err
-		}
-		return &sigxSnap{K: "or", X: a, Y: b}, nil
+		b, err = a.sigxPair(append(b, `{"k":"or","x":`...), x.X, x.Y)
+	default:
+		return b, fmt.Errorf("pipeline: unknown signal expression %T", x)
 	}
-	return nil, fmt.Errorf("pipeline: unknown signal expression %T", x)
+	if err != nil {
+		return b, err
+	}
+	return append(b, '}'), nil
 }
 
-func (e *lowEncoder) kids(list ...kernel.Stmt) ([]*stmtSnap, error) {
-	out := make([]*stmtSnap, len(list))
+// sigxPair appends a binary signal expression's operands, its "x" key
+// already written.
+func (a lowAppender) sigxPair(b []byte, x, y kernel.SigExpr) ([]byte, error) {
+	b, err := a.sigx(b, x)
+	if err != nil {
+		return b, err
+	}
+	return a.sigx(append(b, `,"y":`...), y)
+}
+
+// kids appends a ",\"kids\":[…]" member (nothing for an empty list),
+// writing null for a nil child slot.
+func (a lowAppender) kids(b []byte, list ...kernel.Stmt) ([]byte, error) {
+	if len(list) == 0 {
+		return b, nil
+	}
+	b = append(b, `,"kids":[`...)
 	for i, s := range list {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		if s == nil {
+			b = append(b, "null"...)
 			continue
 		}
-		snap, err := e.stmt(s)
-		if err != nil {
-			return nil, err
+		var err error
+		if b, err = a.stmt(b, s); err != nil {
+			return b, err
 		}
-		out[i] = snap
 	}
-	return out, nil
+	return append(b, ']'), nil
 }
 
-func (e *lowEncoder) stmt(s kernel.Stmt) (*stmtSnap, error) {
+// stmt appends one kernel statement object. Members follow stmtSnap's
+// field order: k, sig, sigx, name, lhs, rhs, x, weak, kids.
+func (a lowAppender) stmt(b []byte, s kernel.Stmt) ([]byte, error) {
+	var err error
 	switch s := s.(type) {
 	case *kernel.Nothing:
-		return &stmtSnap{K: "nothing"}, nil
+		b = append(b, `{"k":"nothing"`...)
 	case *kernel.Pause:
-		return &stmtSnap{K: "pause"}, nil
+		b = append(b, `{"k":"pause"`...)
 	case *kernel.Halt:
-		return &stmtSnap{K: "halt"}, nil
+		b = append(b, `{"k":"halt"`...)
 	case *kernel.Await:
-		sx, err := e.sigx(s.Sig)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "await", SigX: sx}, nil
+		b, err = a.sigx(append(b, `{"k":"await","sigx":`...), s.Sig)
 	case *kernel.Emit:
-		name, err := e.sigName(s.Sig)
-		if err != nil {
-			return nil, err
+		b, err = a.sig(append(b, `{"k":"emit"`...), s.Sig)
+		if err == nil && s.Value != nil {
+			b = appendExpr(b, `,"x":`, *s.Value)
 		}
-		out := &stmtSnap{K: "emit", Sig: name}
-		if s.Value != nil {
-			out.X = exprText(*s.Value)
-		}
-		return out, nil
 	case *kernel.Assign:
-		return &stmtSnap{K: "assign", LHS: exprText(s.LHS), RHS: exprText(s.RHS)}, nil
+		b = appendExpr(append(b, `{"k":"assign"`...), `,"lhs":`, s.LHS)
+		b = appendExpr(b, `,"rhs":`, s.RHS)
 	case *kernel.Eval:
-		return &stmtSnap{K: "eval", X: exprText(s.X)}, nil
+		b = appendExpr(append(b, `{"k":"eval"`...), `,"x":`, s.X)
 	case *kernel.DataCall:
-		return &stmtSnap{K: "call", Name: s.F.Name}, nil
+		b = appendName(append(b, `{"k":"call"`...), `,"name":`, s.F.Name)
 	case *kernel.Seq:
-		kids, err := e.kids(s.List...)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "seq", Kids: kids}, nil
+		b, err = a.kids(append(b, `{"k":"seq"`...), s.List...)
 	case *kernel.Loop:
-		kids, err := e.kids(s.Body)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "loop", Kids: kids}, nil
+		b, err = a.kids(append(b, `{"k":"loop"`...), s.Body)
 	case *kernel.Par:
-		kids, err := e.kids(s.Branches...)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "par", Kids: kids}, nil
+		b, err = a.kids(append(b, `{"k":"par"`...), s.Branches...)
 	case *kernel.Present:
-		sx, err := e.sigx(s.Sig)
-		if err != nil {
-			return nil, err
+		if b, err = a.sigx(append(b, `{"k":"present","sigx":`...), s.Sig); err == nil {
+			b, err = a.kids(b, s.Then, s.Else)
 		}
-		kids, err := e.kids(s.Then, s.Else)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "present", SigX: sx, Kids: kids}, nil
 	case *kernel.IfData:
-		kids, err := e.kids(s.Then, s.Else)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "ifdata", X: exprText(s.Cond), Kids: kids}, nil
+		b = appendExpr(append(b, `{"k":"ifdata"`...), `,"x":`, s.Cond)
+		b, err = a.kids(b, s.Then, s.Else)
 	case *kernel.Trap:
-		kids, err := e.kids(s.Body)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "trap", Name: s.Name, Kids: kids}, nil
+		b, err = a.kids(appendName(append(b, `{"k":"trap"`...), `,"name":`, s.Name), s.Body)
 	case *kernel.Exit:
 		if s.Target == nil {
-			return nil, fmt.Errorf("pipeline: exit without target")
+			return b, fmt.Errorf("pipeline: exit without target")
 		}
-		return &stmtSnap{K: "exit", Name: s.Target.Name}, nil
+		b = appendName(append(b, `{"k":"exit"`...), `,"name":`, s.Target.Name)
 	case *kernel.Abort:
-		sx, err := e.sigx(s.Sig)
-		if err != nil {
-			return nil, err
+		if b, err = a.sigx(append(b, `{"k":"abort","sigx":`...), s.Sig); err == nil {
+			if s.Weak {
+				b = append(b, `,"weak":true`...)
+			}
+			b, err = a.kids(b, s.Body, s.Handler)
 		}
-		kids, err := e.kids(s.Body, s.Handler)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "abort", SigX: sx, Weak: s.Weak, Kids: kids}, nil
 	case *kernel.Suspend:
-		sx, err := e.sigx(s.Sig)
-		if err != nil {
-			return nil, err
+		if b, err = a.sigx(append(b, `{"k":"suspend","sigx":`...), s.Sig); err == nil {
+			b, err = a.kids(b, s.Body)
 		}
-		kids, err := e.kids(s.Body)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "suspend", SigX: sx, Kids: kids}, nil
 	case *kernel.Local:
-		name, err := e.sigName(s.Sig)
-		if err != nil {
-			return nil, err
+		if b, err = a.sig(append(b, `{"k":"local"`...), s.Sig); err == nil {
+			b, err = a.kids(b, s.Body)
 		}
-		kids, err := e.kids(s.Body)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtSnap{K: "local", Sig: name, Kids: kids}, nil
 	case nil:
-		return nil, fmt.Errorf("pipeline: nil statement outside child slot")
+		return b, fmt.Errorf("pipeline: nil statement outside child slot")
+	default:
+		return b, fmt.Errorf("pipeline: unknown kernel statement %T", s)
 	}
-	return nil, fmt.Errorf("pipeline: unknown kernel statement %T", s)
+	if err != nil {
+		return b, err
+	}
+	return append(b, '}'), nil
 }
 
 // ---------------------------------------------------------------------------

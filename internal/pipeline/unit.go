@@ -24,6 +24,7 @@ type unit struct {
 	semKey   string
 	file     *ast.File
 	info     *sem.Info
+	envFP    string // EnvFingerprint(file): every module's structural fingerprint folds it in
 	err      error
 	errPhase Phase // PhaseParse or PhaseSem when err != nil
 
@@ -107,20 +108,9 @@ func (r *Runner) fileAnalyze(u *unit) ([]analyze.Finding, Status) {
 	u.fileOnce.Do(func() {
 		built = true
 		u.fileKey = KeyAnalyzeFile(u.semKey)
-		if blobs, st, ok := r.getSnap(u.fileKey, []string{blobFindings}); ok {
-			if fs, err := analyze.Decode([]byte(blobs[blobFindings])); err == nil {
-				u.fileFindings, u.fileStatus = fs, st
-				return
-			}
-		}
-		fs := analyze.AnalyzeFile(u.info)
-		if fs == nil {
-			fs = []analyze.Finding{}
-		}
-		u.fileFindings, u.fileStatus = fs, StatusRebuilt
-		if enc, err := analyze.Encode(fs); err == nil {
-			r.putSnap(PhaseAnalyzeFile, u.fileKey, map[string]string{blobFindings: string(enc)})
-		}
+		u.fileFindings, u.fileStatus = r.findingsPhase(PhaseAnalyzeFile, u.fileKey, func() []analyze.Finding {
+			return analyze.AnalyzeFile(u.info)
+		})
 	})
 	if built || r.NoShare {
 		return u.fileFindings, u.fileStatus
@@ -148,5 +138,7 @@ func (r *Runner) buildUnit(u *unit, req Request) {
 	u.info = sem.Analyze(u.file, &diags)
 	if diags.HasErrors() {
 		u.err, u.errPhase = diags.Err(), PhaseSem
+		return
 	}
+	u.envFP = EnvFingerprint(u.file)
 }
