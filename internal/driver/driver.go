@@ -879,8 +879,10 @@ func (d *Driver) entry(key string) *cacheEntry {
 	return e
 }
 
-// cacheKeyGeneration versions the cacheKey fingerprint itself.
-const cacheKeyGeneration = 1
+// cacheKeyGeneration versions the cacheKey fingerprint itself. 2: the
+// lexer rejects char and string literals that are not valid UTF-8, so
+// a manifest written for such a source by generation 1 is not served.
+const cacheKeyGeneration = 2
 
 // cacheKey fingerprints everything that determines a compiled design
 // and its diagnostics. It chains from the parse phase's key, which

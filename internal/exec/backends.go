@@ -251,17 +251,30 @@ func minimized(d *core.Design) *efsm.Machine {
 // ---------------------------------------------------------------------------
 // sim backend
 
+// simMachine runs the design as a single-task RTOS system. It is a
+// SlotStepper: the system's ports, sorted by name, are its slots, and
+// the map Step is the shared SlotAdapter.
 type simMachine struct {
-	d   *core.Design
-	sys sim.System
-	tbl *sigTable
+	d       *core.Design
+	sys     sim.System
+	ports   *Ports
+	adapter *SlotAdapter
 }
 
-// openSim builds a fresh single-task RTOS system over the design's
+func openSim(d *core.Design) (Machine, error) {
+	sys, err := buildSim(d)
+	if err != nil {
+		return nil, err
+	}
+	ports := newPortsFromKernel(sys.Inputs(), sys.Outputs())
+	return &simMachine{d: d, sys: sys, ports: ports, adapter: NewSlotAdapter(ports)}, nil
+}
+
+// buildSim builds a fresh single-task RTOS system over the design's
 // module. The design's own analysis tables were consumed by its
 // lowering, so the system is built from a fresh semantic analysis of
 // the same parsed file.
-func openSim(d *core.Design) (Machine, error) {
+func buildSim(d *core.Design) (sim.System, error) {
 	var diags source.DiagList
 	info := sem.Analyze(d.Program.File, &diags)
 	if diags.HasErrors() {
@@ -271,42 +284,31 @@ func openSim(d *core.Design) (Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exec: sim: %w", err)
 	}
-	return &simMachine{d: d, sys: sys, tbl: newSigTable(sys.Inputs(), sys.Outputs())}, nil
+	return sys, nil
 }
 
 func (sm *simMachine) Backend() string   { return "sim" }
 func (sm *simMachine) Module() string    { return sm.d.Lowered.Module.Name }
-func (sm *simMachine) Inputs() []Signal  { return sm.tbl.inputs }
-func (sm *simMachine) Outputs() []Signal { return sm.tbl.outputs }
+func (sm *simMachine) Inputs() []Signal  { return sm.ports.Inputs() }
+func (sm *simMachine) Outputs() []Signal { return sm.ports.Outputs() }
 func (sm *simMachine) Terminated() bool  { return false }
 
+func (sm *simMachine) Ports() *Ports { return sm.ports }
+
+func (sm *simMachine) StepSlots(present []bool, in, out []cval.Value) (bool, error) {
+	return false, sm.sys.StepSlots(present, in, out)
+}
+
 func (sm *simMachine) Step(inputs map[string]cval.Value) (*Result, error) {
-	// Validate through the shared table (the system's own Step takes
-	// string keys already), then translate back for nameOutputs.
-	if _, err := sm.tbl.resolve(inputs); err != nil {
-		return nil, err
-	}
-	outs, err := sm.sys.Step(inputs)
-	if err != nil {
-		return nil, err
-	}
-	named := make(map[string]cval.Value, len(outs))
-	for name, val := range outs {
-		if val.IsValid() {
-			named[name] = val.Clone()
-		} else {
-			named[name] = cval.Value{}
-		}
-	}
-	return &Result{Outputs: named}, nil
+	return sm.adapter.Step(sm.StepSlots, inputs)
 }
 
 func (sm *simMachine) Reset() error {
-	fresh, err := openSim(sm.d)
+	sys, err := buildSim(sm.d)
 	if err != nil {
 		return err
 	}
-	sm.sys = fresh.(*simMachine).sys
+	sm.sys = sys
 	return nil
 }
 

@@ -115,18 +115,19 @@ func TestSlotStepABRO(t *testing.T) {
 // TestSlotStepZeroAllocs is the tentpole's hard performance contract:
 // steady-state slot stepping performs no allocations, across a pure
 // controller and the valued protocol stack (data guards, C function
-// calls, valued emits).
+// calls, valued emits), on the table VM and under the simulated RTOS.
 func TestSlotStepZeroAllocs(t *testing.T) {
 	cases := []struct {
-		path, src, module string
+		name, backend, path, src, module string
 	}{
-		{"abro.ecl", paperex.ABRO, "abro"},
-		{"stack.ecl", paperex.Stack, "toplevel"},
+		{"abro", "efsm-table", "abro.ecl", paperex.ABRO, "abro"},
+		{"toplevel", "efsm-table", "stack.ecl", paperex.Stack, "toplevel"},
+		{"sim", "sim", "stack.ecl", paperex.Stack, "toplevel"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.module, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			design := buildDesign(t, tc.path, tc.src, tc.module)
-			m, err := Open("efsm-table", design)
+			m, err := Open(tc.backend, design)
 			if err != nil {
 				t.Fatal(err)
 			}

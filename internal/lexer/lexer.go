@@ -4,6 +4,8 @@
 package lexer
 
 import (
+	"unicode/utf8"
+
 	"repro/internal/source"
 	"repro/internal/token"
 )
@@ -272,6 +274,7 @@ func (l *Lexer) scanChar(start int) token.Token {
 		return token.Token{Kind: token.ILLEGAL, Lit: l.src[start:l.off], Offset: start}
 	}
 	l.off++
+	l.checkUTF8(start, "character")
 	return token.Token{Kind: token.CHAR, Lit: l.src[start:l.off], Offset: start}
 }
 
@@ -290,7 +293,26 @@ func (l *Lexer) scanString(start int) token.Token {
 		return token.Token{Kind: token.ILLEGAL, Lit: l.src[start:l.off], Offset: start}
 	}
 	l.off++
+	l.checkUTF8(start, "string")
 	return token.Token{Kind: token.STRING, Lit: l.src[start:l.off], Offset: start}
+}
+
+// checkUTF8 rejects a char or string literal src[start:l.off] that is
+// not valid UTF-8. Its text is the value, and snapshots and keys
+// carry that text as a JSON string, which has no way to hold a raw
+// byte that is not UTF-8: two literals differing only in such a byte
+// would read as one. The value can be written as an integer constant.
+func (l *Lexer) checkUTF8(start int, what string) {
+	lit := l.src[start:l.off]
+	for i := 0; i < len(lit); {
+		r, size := utf8.DecodeRuneInString(lit[i:])
+		if r == utf8.RuneError && size == 1 {
+			l.errorf(start, "%s literal holds the byte 0x%02x, which is not valid UTF-8; write the value as an integer constant such as 0x%02x",
+				what, lit[i], lit[i])
+			return
+		}
+		i += size
+	}
 }
 
 // All scans the whole file and returns every token up to and including

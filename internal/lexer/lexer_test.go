@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -228,5 +229,40 @@ func TestTrailingBackslashInLiteral(t *testing.T) {
 		if !diags.HasErrors() {
 			t.Errorf("%q: no unterminated-literal diagnostic", src)
 		}
+	}
+}
+
+// TestInvalidUTF8Literal checks that a char or string literal holding
+// a byte that is not valid UTF-8 is rejected at the literal, with the
+// byte's integer constant as the suggested spelling, while valid
+// multi-byte UTF-8 and escapes still lex cleanly.
+func TestInvalidUTF8Literal(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		kind token.Kind
+		b    byte
+	}{
+		{"x == '\xaf'", token.CHAR, 0xaf},
+		{"x == '\xfe'", token.CHAR, 0xfe},
+		{"s = \"ab\xc3\"", token.STRING, 0xc3},
+	} {
+		toks, diags := lexAll(t, tc.src)
+		if len(diags.Diags) != 1 {
+			t.Fatalf("%q: %d diagnostics, want 1: %s", tc.src, len(diags.Diags), diags)
+		}
+		d := diags.Diags[0]
+		at := strings.IndexAny(tc.src, `'"`)
+		if d.Pos.Offset != at {
+			t.Errorf("%q: diagnostic at offset %d, want the literal at %d", tc.src, d.Pos.Offset, at)
+		}
+		if want := fmt.Sprintf("integer constant such as 0x%02x", tc.b); !strings.Contains(d.Message, want) || !strings.Contains(d.Message, "not valid UTF-8") {
+			t.Errorf("%q: diagnostic %q should say the literal is not valid UTF-8 and suggest %q", tc.src, d.Message, want)
+		}
+		if got := kinds(toks); got[len(got)-2] != tc.kind {
+			t.Errorf("%q: literal lexed as %v, want %v", tc.src, got[len(got)-2], tc.kind)
+		}
+	}
+	if _, diags := lexAll(t, `'é' "héllo" '\xaf' '\\'`); diags.HasErrors() {
+		t.Errorf("valid UTF-8 literals rejected: %s", diags)
 	}
 }

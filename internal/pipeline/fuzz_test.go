@@ -63,6 +63,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	// and & (HTML-safe escapes) and a char literal holding a backslash.
 	f.Add(escapeSource)
 	f.Add(`module m (input int x, output int y) { while (1) { await (x); if (x > 0) { emit_v (y, (x << 2) >> 1); } } }`)
+	// A char literal holding a raw byte that is not valid UTF-8: JSON
+	// cannot carry it, so the lexer rejects it.
+	f.Add("module A(input int A,output int B){int A00;char A;{'\xaf';}}")
 	f.Fuzz(func(t *testing.T, src string) {
 		opts := core.Options{
 			// Bound exploration so pathological fuzz inputs fail fast

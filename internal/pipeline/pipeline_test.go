@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -331,6 +332,30 @@ func TestRunnerMemoryTierRebindsAcrossDataEdit(t *testing.T) {
 	}
 	if diff := sameResult(again, pure); diff != "" {
 		t.Errorf("repeat from the memory tier: %s", diff)
+	}
+}
+
+// TestRunnerRejectsInvalidUTF8Literal: two sources differing only in a
+// raw byte of a guard's char literal once shared their structural
+// fingerprint (JSON writes every byte that is not UTF-8 as U+FFFD),
+// so one Runner served the first source's C for the second. Both are
+// now rejected at the literal.
+func TestRunnerRejectsInvalidUTF8Literal(t *testing.T) {
+	r := &Runner{}
+	for _, b := range []byte{0xaf, 0xfe} {
+		src := "module g (input char I, output pure O) { while (1) { await (I); if (I == '" + string([]byte{b}) + "') { emit (O); } } }"
+		res := r.Run(memTierRequest(src))
+		if res.Err == nil {
+			t.Fatalf("byte 0x%02x: compiled, want a diagnostic", b)
+		}
+		at := fmt.Sprintf("inc.ecl:1:%d:", strings.IndexByte(src, '\'')+1)
+		want := fmt.Sprintf("not valid UTF-8; write the value as an integer constant such as 0x%02x", b)
+		if msg := res.Err.Error(); !strings.Contains(msg, at) || !strings.Contains(msg, want) {
+			t.Errorf("byte 0x%02x: error %q, want %q at %s", b, msg, want, at)
+		}
+		if len(res.Artifacts) != 0 {
+			t.Errorf("byte 0x%02x: got artifacts %v", b, slices.Sorted(maps.Keys(res.Artifacts)))
+		}
 	}
 }
 

@@ -8,14 +8,20 @@
 //     separately and run as its own task, with signals delivered
 //     through RTOS mailboxes (the "3 tasks" partitions).
 //
-// Both systems expose the same tick-level Step interface, report
+// Both systems expose the same tick-level interface, report
 // task-vs-kernel cycle counts through the cost model, and estimate
-// their memory images, which is everything Table 1 needs.
+// their memory images, which is everything Table 1 needs. Ticks are
+// slot-native: StepSlots drives the design's ports by index, each task
+// maps its port slots to the kernel's wire ids, and a steady-state
+// tick allocates nothing. Step is a by-name adapter over it.
 package sim
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/compile"
@@ -50,15 +56,27 @@ type Metrics struct {
 
 // System is a runnable implementation of a design.
 type System interface {
-	// Step drives one environment tick: the named inputs are present
-	// (with values for valued signals); the returned map holds the
-	// design outputs emitted during the tick.
+	// StepSlots drives one environment tick over slot-indexed I/O,
+	// with the contract of exec.SlotStepper: slots follow Inputs(),
+	// then Outputs(); present holds the input bits set by the caller,
+	// and the system rewrites the output bits after them. in[i]
+	// carries valued input i's value (invalid: presence only); inputs
+	// are copied when they are delivered. When out[j] has storage of
+	// an emitted value's size, the value's bytes are copied into it.
+	// The caller may reuse all three vectors, and a steady-state tick
+	// allocates nothing.
+	StepSlots(present []bool, in, out []cval.Value) error
+	// Step drives one tick by name: the named inputs are present (with
+	// values for valued signals); the returned map holds fresh copies
+	// of the design outputs emitted during the tick.
 	Step(inputs map[string]cval.Value) (map[string]cval.Value, error)
 	// Metrics returns the accumulated measurements.
 	Metrics() Metrics
-	// Inputs lists the design's environment-facing input signals.
+	// Inputs lists the design's environment-facing input signals in
+	// slot order (sorted by name). Callers must not modify it.
 	Inputs() []*kernel.Signal
-	// Outputs lists the design's environment-facing output signals.
+	// Outputs lists the design's environment-facing output signals in
+	// slot order (sorted by name). Callers must not modify it.
 	Outputs() []*kernel.Signal
 }
 
@@ -127,16 +145,14 @@ func TopInstances(info *sem.Info, top string) ([]Instance, error) {
 // Task adapter
 
 // tableRunner adapts a table-compiled EFSM to the RTOS task interface,
-// translating between system-level wire signals and the module's port
-// slots. The table machine's per-reaction cost is what the kernel
-// prices.
+// translating between system wires and the module's port slots. The
+// table machine's per-reaction cost is what the kernel prices.
 type tableRunner struct {
 	em *efsm.Machine
 	m  *table.Machine
-	// wireToIn maps system wires to the module's input slots.
-	wireToIn map[*kernel.Signal]int
-	// outWire maps each output slot to its system wire (nil: unwired).
-	outWire []*kernel.Signal
+	// inWire and outWire give each input and output slot's wire id
+	// (-1: unwired). Several slots may share one wire.
+	inWire, outWire []int
 	// Reused slot vectors (see table.Machine.Step).
 	present []bool
 	in, out []cval.Value
@@ -151,84 +167,87 @@ func newTableRunner(em *efsm.Machine) (*tableRunner, error) {
 		return nil, err
 	}
 	nIn, nOut := prog.NumInputs(), prog.NumOutputs()
-	out := make([]cval.Value, nOut)
-	for j, sig := range em.Outputs {
-		if !sig.Pure && sig.Type != nil {
-			out[j] = cval.New(sig.Type)
-		}
+	r := &tableRunner{
+		em:      em,
+		m:       table.New(prog),
+		inWire:  make([]int, nIn),
+		outWire: make([]int, nOut),
+		present: make([]bool, nIn+nOut),
+		in:      make([]cval.Value, nIn),
+		out:     newValues(em.Outputs),
 	}
-	return &tableRunner{
-		em:       em,
-		m:        table.New(prog),
-		wireToIn: map[*kernel.Signal]int{},
-		outWire:  make([]*kernel.Signal, nOut),
-		present:  make([]bool, nIn+nOut),
-		in:       make([]cval.Value, nIn),
-		out:      out,
-	}, nil
+	for i := range r.inWire {
+		r.inWire[i] = -1
+	}
+	for j := range r.outWire {
+		r.outWire[j] = -1
+	}
+	return r, nil
 }
 
-// wire connects the module's interface signal sig to a system wire.
-func (r *tableRunner) wire(sig, wire *kernel.Signal) {
+// newValues allocates one value per signal, with storage of its type
+// for the valued ones; pure signals' entries stay invalid.
+func newValues(sigs []*kernel.Signal) []cval.Value {
+	vals := make([]cval.Value, len(sigs))
+	for j, sig := range sigs {
+		if !sig.Pure && sig.Type != nil {
+			vals[j] = cval.New(sig.Type)
+		}
+	}
+	return vals
+}
+
+// wire connects every port slot of the module's interface signal sig
+// to wire w.
+func (r *tableRunner) wire(sig *kernel.Signal, w int) {
 	for i, in := range r.em.Inputs {
 		if in == sig {
-			r.wireToIn[wire] = i
+			r.inWire[i] = w
 		}
 	}
 	for j, out := range r.em.Outputs {
 		if out == sig {
-			r.outWire[j] = wire
+			r.outWire[j] = w
 		}
 	}
 }
 
 // React implements rtos.Runner.
-func (r *tableRunner) React(inputs map[*kernel.Signal]cval.Value) (*rtos.Reaction, error) {
-	for i := range r.in {
-		r.present[i], r.in[i] = false, cval.Value{}
-	}
-	for wire, val := range inputs {
-		if i, ok := r.wireToIn[wire]; ok {
-			r.present[i], r.in[i] = true, val
-		}
+func (r *tableRunner) React(inbox, outbox *rtos.Mailbox) (rtos.Reaction, error) {
+	for i, w := range r.inWire {
+		r.in[i], r.present[i] = inbox.Get(w)
 	}
 	if _, err := r.m.Step(r.present, r.in, r.out); err != nil {
-		return nil, err
+		return rtos.Reaction{}, err
 	}
 	units, depth := r.m.Cost()
-	res := &rtos.Reaction{
-		Emitted: make(map[*kernel.Signal]cval.Value),
-		Depth:   depth,
-		Units:   units,
-	}
 	nIn := len(r.in)
-	for j, wire := range r.outWire {
-		if wire == nil || !r.present[nIn+j] {
-			continue
-		}
-		if v := r.out[j]; v.IsValid() {
-			res.Emitted[wire] = v.Clone()
-		} else {
-			res.Emitted[wire] = cval.Value{}
+	for j, w := range r.outWire {
+		if w >= 0 && r.present[nIn+j] {
+			outbox.Put(w, r.out[j])
 		}
 	}
-	return res, nil
+	return rtos.Reaction{Depth: depth, Units: units}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Shared system plumbing
 
 type system struct {
-	model  *cost.Model
-	kern   *rtos.Kernel
-	wires  map[string]*kernel.Signal // system signals by name
-	inputs map[string]*kernel.Signal // design inputs by name
-	outs   map[*kernel.Signal]string // design outputs
-	// selfTrig tasks re-ready every tick (modules with empty-await
-	// delta cycles; paper footnote 3: "a feature forcing the
-	// rescheduling of the module must be used").
-	selfTrig []*rtos.Task
-	triggers map[*rtos.Task]*kernel.Signal
+	kern *rtos.Kernel
+	// ins and outs are the design's environment-facing signals sorted
+	// by name, which is the slot order; inWire and outWire are their
+	// wire ids.
+	ins, outs       []*kernel.Signal
+	inWire, outWire []int
+	// trig lists the per-tick trigger wires of tasks that re-ready
+	// every tick (modules with empty-await delta cycles; paper
+	// footnote 3: "a feature forcing the rescheduling of the module
+	// must be used").
+	trig []int
+	// The map Step's reused slot vectors.
+	present []bool
+	in, out []cval.Value
 
 	taskImage cost.Image
 	rtosImage cost.Image
@@ -236,45 +255,108 @@ type system struct {
 	ticks     int64
 }
 
-// Step implements System.
-func (s *system) Step(inputs map[string]cval.Value) (map[string]cval.Value, error) {
+// StepSlots implements System.
+func (s *system) StepSlots(present []bool, in, out []cval.Value) error {
+	nIn, nOut := len(s.inWire), len(s.outWire)
+	if len(present) < nIn+nOut || len(in) < nIn || len(out) < nOut {
+		return fmt.Errorf("sim: slot vectors too short (need %d presence, %d in, %d out)", nIn+nOut, nIn, nOut)
+	}
 	s.ticks++
 	s.kern.Tick()
-	for name, val := range inputs {
-		wire := s.inputs[name]
-		if wire == nil {
-			return nil, fmt.Errorf("no input signal %q", name)
+	for i, w := range s.inWire {
+		if present[i] {
+			s.kern.Post(w, in[i])
 		}
-		s.kern.Post(wire, val)
 	}
-	for _, t := range s.selfTrig {
-		s.kern.Post(s.selfTriggerSignalFor(t), cval.Value{})
+	for _, w := range s.trig {
+		s.kern.Post(w, cval.Value{})
 	}
 	emitted, err := s.kern.RunToIdle()
 	if err != nil {
+		return err
+	}
+	for j, w := range s.outWire {
+		v, ok := emitted.Get(w)
+		present[nIn+j] = ok
+		if b := out[j].B; ok && v.IsValid() && len(b) == len(v.B) {
+			copy(b, v.B)
+		}
+	}
+	return nil
+}
+
+// Step implements System as an adapter over StepSlots.
+func (s *system) Step(inputs map[string]cval.Value) (map[string]cval.Value, error) {
+	nIn := len(s.ins)
+	for i := range s.in {
+		s.present[i], s.in[i] = false, cval.Value{}
+	}
+	for name, val := range inputs {
+		i, ok := s.inputSlot(name)
+		if !ok {
+			return nil, s.unknownInput(inputs)
+		}
+		s.present[i], s.in[i] = true, val
+	}
+	if err := s.StepSlots(s.present, s.in, s.out); err != nil {
 		return nil, err
 	}
 	out := make(map[string]cval.Value)
-	for sig, val := range emitted {
-		if name, ok := s.outs[sig]; ok {
-			out[name] = val
+	for j, sig := range s.outs {
+		if !s.present[nIn+j] {
+			continue
+		}
+		if v := s.out[j]; v.IsValid() {
+			out[sig.Name] = v.Clone()
+		} else {
+			out[sig.Name] = cval.Value{}
 		}
 	}
 	return out, nil
 }
 
-// selfTriggerSignalFor returns the task's virtual per-tick trigger
-// wire, creating it on first use.
-func (s *system) selfTriggerSignalFor(t *rtos.Task) *kernel.Signal {
-	if s.triggers == nil {
-		s.triggers = map[*rtos.Task]*kernel.Signal{}
+// inputSlot resolves a design input by name.
+func (s *system) inputSlot(name string) (int, bool) {
+	i := sort.Search(len(s.ins), func(i int) bool { return s.ins[i].Name >= name })
+	return i, i < len(s.ins) && s.ins[i].Name == name
+}
+
+// unknownInput reports the first name of inputs, in sorted order, that
+// is not a design input.
+func (s *system) unknownInput(inputs map[string]cval.Value) error {
+	for _, name := range slices.Sorted(maps.Keys(inputs)) {
+		if _, ok := s.inputSlot(name); !ok {
+			return fmt.Errorf("no input signal %q", name)
+		}
 	}
-	if sig, ok := s.triggers[t]; ok {
-		return sig
-	}
+	return nil
+}
+
+// selfTrigger re-readies t on every tick through a virtual trigger
+// wire.
+func (s *system) selfTrigger(t *rtos.Task) {
 	sig := &kernel.Signal{Name: "tick." + t.Name, Class: kernel.Input, Pure: true}
-	s.triggers[t] = sig
-	return sig
+	s.trig = append(s.trig, s.kern.AddTaskInput(t, sig))
+}
+
+// setPorts puts the design's inputs and outputs into slot order,
+// resolves their wires and allocates the map Step's slot vectors.
+func (s *system) setPorts(ins, outs []*kernel.Signal) {
+	byName := func(a, b *kernel.Signal) int { return strings.Compare(a.Name, b.Name) }
+	slices.SortFunc(ins, byName)
+	slices.SortFunc(outs, byName)
+	s.ins, s.outs = ins, outs
+	s.inWire, s.outWire = s.wiresOf(ins), s.wiresOf(outs)
+	s.present = make([]bool, len(ins)+len(outs))
+	s.in, s.out = make([]cval.Value, len(ins)), newValues(outs)
+}
+
+func (s *system) wiresOf(sigs []*kernel.Signal) []int {
+	ws := make([]int, len(sigs))
+	for i, sig := range sigs {
+		ws[i] = s.kern.Wire(sig)
+	}
+	return ws
 }
 
 // boot runs every task's initialization reaction (kernel startup),
@@ -290,24 +372,10 @@ func (s *system) boot() error {
 }
 
 // Inputs implements System.
-func (s *system) Inputs() []*kernel.Signal {
-	out := make([]*kernel.Signal, 0, len(s.inputs))
-	for _, sig := range s.inputs {
-		out = append(out, sig)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func (s *system) Inputs() []*kernel.Signal { return s.ins }
 
 // Outputs implements System.
-func (s *system) Outputs() []*kernel.Signal {
-	out := make([]*kernel.Signal, 0, len(s.outs))
-	for sig := range s.outs {
-		out = append(out, sig)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func (s *system) Outputs() []*kernel.Signal { return s.outs }
 
 // Metrics implements System.
 func (s *system) Metrics() Metrics {
@@ -365,34 +433,21 @@ func BuildSync(info *sem.Info, top string, cfg Config) (System, error) {
 		return nil, err
 	}
 	model := cfg.model()
-	s := &system{
-		model:  model,
-		kern:   rtos.New(model),
-		wires:  map[string]*kernel.Signal{},
-		inputs: map[string]*kernel.Signal{},
-		outs:   map[*kernel.Signal]string{},
-	}
+	s := &system{kern: rtos.New(model)}
 	runner, err := newTableRunner(em)
 	if err != nil {
 		return nil, err
 	}
-	task := &rtos.Task{Name: top, Prio: 0, Run: runner}
-	for _, in := range res.Module.Inputs {
-		// The single task uses the module's own signals as wires.
-		s.wires[in.Name] = in
-		s.inputs[in.Name] = in
-		runner.wire(in, in)
-		task.Inputs = append(task.Inputs, in)
+	// The single task uses the module's own signals as wires.
+	ins, outs := slices.Clone(res.Module.Inputs), slices.Clone(res.Module.Outputs)
+	for _, sig := range slices.Concat(ins, outs) {
+		runner.wire(sig, s.kern.Wire(sig))
 	}
-	for _, out := range res.Module.Outputs {
-		s.wires[out.Name] = out
-		s.outs[out] = out.Name
-		runner.wire(out, out)
-	}
+	task := &rtos.Task{Name: top, Prio: 0, Inputs: slices.Clone(ins), Run: runner}
 	s.kern.AddTask(task)
 	// A synchronous implementation reacts on every clock tick.
-	s.kern.AddTaskInput(task, s.selfTriggerSignalFor(task))
-	s.selfTrig = append(s.selfTrig, task)
+	s.selfTrigger(task)
+	s.setPorts(ins, outs)
 
 	s.taskImage = model.SoftwareImage(em)
 	s.taskImage.DataBytes += model.TaskDataBytes()
@@ -414,32 +469,28 @@ func BuildAsync(info *sem.Info, top string, cfg Config) (System, error) {
 	}
 	topMi := info.Modules[top]
 	model := cfg.model()
-	s := &system{
-		model:  model,
-		kern:   rtos.New(model),
-		wires:  map[string]*kernel.Signal{},
-		inputs: map[string]*kernel.Signal{},
-		outs:   map[*kernel.Signal]string{},
-	}
+	s := &system{kern: rtos.New(model)}
 	// System wires: the top-level interface plus its local signals.
+	wires := map[string]*kernel.Signal{}
+	var ins, outs []*kernel.Signal
 	for _, p := range topMi.Params {
 		wire := &kernel.Signal{Name: p.Name, Pure: p.Pure, Type: p.ValueType}
 		if p.Dir == ast.In {
 			wire.Class = kernel.Input
-			s.inputs[p.Name] = wire
+			ins = append(ins, wire)
 		} else {
 			wire.Class = kernel.Output
-			s.outs[wire] = p.Name
+			outs = append(outs, wire)
 		}
-		s.wires[p.Name] = wire
+		wires[p.Name] = wire
 	}
 	for _, l := range topMi.Locals {
 		wire := &kernel.Signal{Name: l.Name, Class: kernel.LocalSig, Pure: l.Pure, Type: l.ValueType}
-		s.wires[l.Name] = wire
+		wires[l.Name] = wire
 	}
 
 	totalChannels, totalValued := 0, 0
-	for _, w := range s.wires {
+	for _, w := range wires {
 		totalChannels++
 		if !w.Pure && w.Type != nil {
 			totalValued++
@@ -463,7 +514,7 @@ func BuildAsync(info *sem.Info, top string, cfg Config) (System, error) {
 		task := &rtos.Task{Name: fmt.Sprintf("%s%d", inst.Module, prio+1), Prio: prio, Run: runner}
 		callee := info.Modules[inst.Module]
 		for i, p := range callee.Params {
-			wire := s.wires[inst.Args[i]]
+			wire := wires[inst.Args[i]]
 			if wire == nil {
 				return nil, fmt.Errorf("instance %s: unknown signal %q", inst.Module, inst.Args[i])
 			}
@@ -477,21 +528,21 @@ func BuildAsync(info *sem.Info, top string, cfg Config) (System, error) {
 			if local == nil {
 				return nil, fmt.Errorf("instance %s: interface signal %q missing after lowering", inst.Module, p.Name)
 			}
-			runner.wire(local, wire)
+			runner.wire(local, s.kern.Wire(wire))
 			if p.Dir == ast.In {
 				task.Inputs = append(task.Inputs, wire)
 			}
 		}
 		s.kern.AddTask(task)
 		if hasDeltaPause(res.Module) {
-			s.kern.AddTaskInput(task, s.selfTriggerSignalFor(task))
-			s.selfTrig = append(s.selfTrig, task)
+			s.selfTrigger(task)
 		}
 		img := model.SoftwareImage(em)
 		img.DataBytes += model.TaskDataBytes()
 		s.taskImage.Add(img)
 		s.states += len(em.States)
 	}
+	s.setPorts(ins, outs)
 	s.rtosImage = model.RTOSImage(len(insts), totalChannels, totalValued)
 	if err := s.boot(); err != nil {
 		return nil, err
