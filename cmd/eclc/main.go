@@ -16,9 +16,9 @@
 // stats. Default: esterel,c,glue,stats written to the output directory
 // (default ".").
 //
-// Builds go through a tiered cache: the in-process design cache, a
-// persistent on-disk artifact store (default $ECL_CACHE_DIR, else the
-// user cache dir), and optionally a shared remote cache server
+// Builds go through a tiered cache: the pipeline's in-process memory
+// tier, a persistent on-disk phase store (default $ECL_CACHE_DIR, else
+// the user cache dir), and optionally a shared remote cache server
 // (-remote-cache URL, default $ECL_REMOTE_CACHE — an eclcached
 // instance), so a design compiled anywhere in a fleet is a hit
 // everywhere. -no-disk-cache opts out of the disk tier, -cache-dir
@@ -32,8 +32,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,7 +65,7 @@ func main() {
 	vet := flag.Bool("vet", false, "run the static analyzer over each compiled module and report findings (exit 1 on any)")
 	jobs := flag.Int("jobs", 0, "max concurrent module builds (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "persistent cache directory (default $ECL_CACHE_DIR, else the user cache dir)")
-	noDiskCache := flag.Bool("no-disk-cache", false, "disable the persistent on-disk artifact cache")
+	noDiskCache := flag.Bool("no-disk-cache", false, "disable the persistent on-disk cache")
 	remoteCache := flag.String("remote-cache", os.Getenv(remote.EnvURL),
 		"shared remote cache server URL (default $"+remote.EnvURL+"; empty disables)")
 	cacheStats := flag.Bool("cache-stats", false, "report cache hit rates after the build")
@@ -225,8 +227,9 @@ func main() {
 // printExplain reports, per request, how each pipeline phase was
 // satisfied, followed by the per-phase totals — one stable, grep-able
 // key=value line per row (the CI incremental dogfood step greps
-// `phase=efsm status=disk-hit` from it). A request served whole from
-// the design-level cache shows the single pseudo-phase "design".
+// `phase=efsm status=disk-hit` from it). A request served whole by its
+// root entry shows the single phase "design", which the totals leave
+// out (-cache-stats reports it).
 func printExplain(d *driver.Driver, results []driver.Result) {
 	for i := range results {
 		res := &results[i]
@@ -300,8 +303,9 @@ func cacheCmd(args []string) {
 		if err != nil || len(inv) == 0 {
 			break
 		}
-		// Per-phase table for the v2 subtree, in pipeline flow order
-		// (grep-able: one phase=... line per populated phase).
+		// Per-phase table, in pipeline flow order (grep-able: one
+		// phase=... line per populated phase), then the root entries
+		// and session snapshots by name.
 		for _, ph := range pipeline.AllPhases() {
 			info, ok := inv[string(ph)]
 			if !ok {
@@ -310,7 +314,8 @@ func cacheCmd(args []string) {
 			fmt.Printf("phase=%s entries=%d size=%s\n", ph, info.Entries, formatBytes(info.Bytes))
 			delete(inv, string(ph))
 		}
-		for name, info := range inv {
+		for _, name := range slices.Sorted(maps.Keys(inv)) {
+			info := inv[name]
 			fmt.Printf("phase=%s entries=%d size=%s\n", name, info.Entries, formatBytes(info.Bytes))
 		}
 	case "gc":

@@ -132,8 +132,8 @@ func incrementalExample(inc int) string {
 // TestExplainReportsPhaseTable drives the -explain flag end to end:
 // a cold build rebuilds every phase, a data-function edit in a new
 // process replays the efsm phase from disk while re-running emission,
-// an unchanged rebuild collapses to the design pseudo-phase, and
-// `eclc cache stats` lists the v2 subtree per phase.
+// an unchanged rebuild collapses to the root entry's design phase, and
+// `eclc cache stats` lists the store per phase.
 func TestExplainReportsPhaseTable(t *testing.T) {
 	exe := buildEclc(t)
 	cacheDir, outDir, srcDir := t.TempDir(), t.TempDir(), t.TempDir()
@@ -171,7 +171,7 @@ func TestExplainReportsPhaseTable(t *testing.T) {
 		t.Fatalf("edited explain lacks phase-stats summary:\n%s", edited)
 	}
 
-	// Unchanged rebuild, new process: whole-design v1 replay.
+	// Unchanged rebuild, new process: one root disk hit.
 	unchanged := run(src)
 	if !strings.Contains(unchanged, "phase=design status=disk-hit") {
 		t.Fatalf("unchanged explain lacks design disk-hit:\n%s", unchanged)
@@ -182,7 +182,7 @@ func TestExplainReportsPhaseTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cache stats: %v\n%s", err, out)
 	}
-	for _, want := range []string{"phase=efsm entries=", "phase=emit-c entries="} {
+	for _, want := range []string{"phase=efsm entries=", "phase=emit-c entries=", "phase=design entries=2 "} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("cache stats lacks %q:\n%s", want, out)
 		}

@@ -11,18 +11,19 @@
 // The backing store defaults to $ECL_CACHE_DIR, else the user cache
 // dir; it is a normal store, so `eclc cache stats|gc|clear -cache-dir`
 // manage it directly. GET /healthz answers liveness probes and GET
-// /statsz reports the backing store's traffic counters as JSON.
+// /statsz reports the protocol traffic and the store's footprint as
+// JSON.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 
 	"repro/internal/cache"
 	"repro/internal/cache/remote"
+	"repro/internal/httpserve"
 )
 
 func main() {
@@ -46,7 +47,9 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "eclcached: serving %s on %s\n", store.Dir(), ln.Addr())
-	if err := http.Serve(ln, remote.NewServer(store)); err != nil {
+	// Requests and responses are bounded by the client's blob transfer
+	// budget, so a stalled transfer cannot hold a connection forever.
+	if err := httpserve.New(remote.NewServer(store), remote.BlobTimeout).Serve(ln); err != nil {
 		fatal(err)
 	}
 }

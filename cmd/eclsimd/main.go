@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -30,6 +29,7 @@ import (
 	"repro/internal/cache/remote"
 	"repro/internal/driver"
 	"repro/internal/exec"
+	"repro/internal/httpserve"
 	"repro/internal/simd"
 )
 
@@ -87,7 +87,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "eclsimd: serving on %s\n", ln.Addr())
-	if err := http.Serve(ln, daemon); err != nil {
+	if err := httpserve.New(daemon, 0).Serve(ln); err != nil {
 		fatal(err)
 	}
 }

@@ -172,9 +172,10 @@ const (
 // worker-pool size (<= 0 means GOMAXPROCS).
 func NewDriver(workers int) *Driver { return driver.New(workers) }
 
-// CacheStats snapshots a Driver's cache traffic across both tiers
-// (in-memory designs plus the persistent artifact store), including
-// the per-phase breakdown in its Phases field.
+// CacheStats snapshots a Driver's cache traffic across every tier
+// (memory, the persistent phase store, the remote cache): requests
+// served whole by their root entry, walks, and the per-phase breakdown
+// in its Phases field.
 type CacheStats = driver.CacheStats
 
 // PhaseStats breaks a Driver's cache traffic down per pipeline phase
@@ -196,9 +197,9 @@ type PhaseResult = pipeline.PhaseResult
 // carrying file/phase diagnostics for the unexpandable file.
 type ExpandError = driver.ExpandError
 
-// DiskCache is the persistent content-addressed artifact store; assign
-// one to Driver.Disk to make separate processes share compiled
-// artifacts by content hash.
+// DiskCache is the persistent content-addressed phase store; assign
+// one to Driver.Disk to make separate processes share compiled phases
+// and artifacts by content key.
 type DiskCache = cache.Store
 
 // CacheGCResult reports one GCCache pass.

@@ -284,7 +284,7 @@ func TestPublicAPIDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One v1 design manifest plus the v2 phase snapshots the pipeline
+	// One root (design) entry plus the phase snapshots the pipeline
 	// stored for it (efsm, emit-c); parse and lower store nothing.
 	if gc.LiveEntries != 3 {
 		t.Fatalf("GCCache sees %d live entries, want 3 (1 design + 2 phase)", gc.LiveEntries)

@@ -1,43 +1,42 @@
-// Package cache is a persistent, content-addressed artifact store: the
-// on-disk second tier behind internal/driver's in-memory design cache,
-// so separate eclc processes (and separate CI runs) pay for a design
-// once per content hash.
+// Package cache is a persistent, content-addressed store of pipeline
+// phase snapshots: the on-disk tier behind internal/pipeline's memory
+// tier, so separate eclc processes (and separate CI runs) pay for a
+// phase once per content key.
 //
-// The store keeps two schema subtrees side by side under its root
-// (default os.UserCacheDir()/ecl, overridable with $ECL_CACHE_DIR):
+// The store keeps one schema subtree under its root (default
+// os.UserCacheDir()/ecl, overridable with $ECL_CACHE_DIR):
 //
-//	<root>/v1/manifests/<aa>/<design-key>.json   whole-design artifacts
-//	<root>/v1/blobs/<aa>/<sha256-of-content>
-//	<root>/v1/tmp/...
-//	<root>/v2/manifests/<aa>/<phase-key>.json    per-phase snapshots
+//	<root>/v2/manifests/<aa>/<phase-key>.json
 //	<root>/v2/blobs/<aa>/<sha256-of-content>
 //	<root>/v2/tmp/...
 //
-// v1 manifests map one *design* key (source + module + options hash)
-// to its rendered artifact set — the fast path that serves a fully
-// unchanged rebuild without running any compiler phase. v2 manifests
-// map one *phase* key (derived from the phase's inputs, see
-// internal/pipeline) to that phase's serialized output snapshot, so an
-// edited design resumes compilation at its first dirty phase and
-// replays everything downstream that still matches. The two subtrees
-// age independently: a store written by an older build keeps its v1
-// entries readable, and a v2-aware build simply starts populating the
-// second subtree alongside.
+// A manifest maps one phase key (derived from the phase's inputs, see
+// internal/pipeline) to the phase that produced it and its named
+// blobs, so an edited design resumes compilation at its first dirty
+// phase and replays everything downstream that still matches. The
+// pipeline's root entry is a manifest like any other: its phase is
+// "design", its key covers a whole request, it also records the
+// resolved module, and its blobs are the very artifact texts the emit
+// phases stored — so an unchanged rebuild reads one manifest and one
+// blob per artifact without running any phase, and adds no blob of
+// its own. Stores written by older builds may also hold a v1/
+// subtree of whole-design manifests; nothing reads it, and GC
+// removes it.
 //
 // Blobs are content-addressed (the file name is the SHA-256 of the
-// bytes) and sharded by their first two hex digits; a manifest maps
-// artifact names to blob hashes. Every write goes through a temp file
-// in the subtree's tmp/ followed by an atomic rename on the same
+// bytes) and sharded by their first two hex digits. Every write goes
+// through a temp file in tmp/ followed by an atomic rename on the same
 // filesystem, so readers never observe a partial file and concurrent
 // writers of the same content converge on identical bytes. Corrupt or
 // truncated manifests and blobs are detected (JSON/shape validation
 // for manifests, hash verification for blobs), treated as misses, and
-// deleted so the next Put repairs them — never an error to the build.
+// deleted so the next put repairs them — never an error to the build.
 //
-// Mutual exclusion across processes uses best-effort lock files
-// (manifest read-modify-write merges, and the GC sweep); in-process
-// deduplication is the driver's single-flight, and the atomic-rename
-// discipline keeps even unlocked races safe, just possibly wasteful.
+// A manifest is written whole, never merged, so puts take no lock;
+// the GC sweep takes a best-effort lock file across processes. In
+// process deduplication is the pipeline's single flight, and the
+// atomic-rename discipline keeps even unlocked races safe, just
+// possibly wasteful.
 package cache
 
 import (
@@ -52,15 +51,18 @@ import (
 	"time"
 )
 
-// SchemaVersion is the on-disk format version of the whole-design
-// subtree; it names the v1/... paths and is checked inside every
-// design manifest.
-const SchemaVersion = 1
-
-// PhaseSchemaVersion is the on-disk format version of the phase-keyed
-// subtree; it names the v2/... paths and is checked inside every phase
+// PhaseSchemaVersion is the on-disk format version of the store's
+// subtree; it names the v2/... paths and is checked inside every
 // manifest.
 const PhaseSchemaVersion = 2
+
+// legacySubtree is the whole-design subtree of stores written by older
+// builds: never read, removed by GC and Clear.
+const legacySubtree = "v1"
+
+// DesignPhase is the phase name of the pipeline's root entry: a whole
+// request's resolved module and artifacts, keyed on the request.
+const DesignPhase = "design"
 
 // EnvDir is the environment variable overriding the default store
 // location.
@@ -79,27 +81,35 @@ func DefaultDir() (string, error) {
 	return filepath.Join(base, "ecl"), nil
 }
 
-// Entry is one design key's cached state: the resolved module name and
-// the artifact texts by artifact key (the driver's target keys).
+// Entry is a root (design) entry in the form Get and Put take: the
+// resolved module and its blobs by name.
 type Entry struct {
 	Module    string
 	Artifacts map[string]string
 }
 
 // PhaseEntry is one phase key's cached state: the pipeline phase that
-// produced it and its named snapshot blobs (serialized IR, rendered
-// artifact text, ...).
+// produced it, the resolved module (design entries only) and its named
+// snapshot blobs (serialized IR, rendered artifact text, ...).
 type PhaseEntry struct {
-	Phase string
-	Blobs map[string]string
+	Phase  string
+	Module string
+	Blobs  map[string]string
 }
 
-// Stats counts store traffic since Open. Hits/Misses/Puts cover the
-// v1 design tier, PhaseHits/PhaseMisses/PhasePuts the v2 phase tier —
-// kept separate so callers can report whole-design replays and
-// per-phase resumption independently. Evictions accumulate across GC
-// calls; Errors counts corruption and I/O problems on either path —
-// swallowed as misses on reads, returned to the caller on writes.
+// ValidManifest reports whether a manifest of the given phase, module
+// and blob count may be stored: every manifest names its phase and at
+// least one blob, and a design manifest also its module.
+func ValidManifest(phase, module string, blobs int) bool {
+	return phase != "" && blobs > 0 && (phase != DesignPhase || module != "")
+}
+
+// Stats counts store traffic since Open. PhaseHits, PhaseMisses and
+// PhasePuts count GetPhase and PutPhase calls, root entries included;
+// Hits, Misses and Puts count the Get and Put calls. Evictions
+// accumulate across GC calls; Errors counts corruption and I/O
+// problems on either path — swallowed as misses on reads, returned to
+// the caller on writes.
 type Stats struct {
 	Hits, Misses, Puts                int64
 	PhaseHits, PhaseMisses, PhasePuts int64
@@ -109,30 +119,30 @@ type Stats struct {
 // Tier is the store shape the build consults, tier-agnostically: the
 // on-disk Store implements it, and so does the HTTP client in
 // internal/cache/remote, which is how a shared remote cache slots in
-// behind the same calls as the local disk. Get/GetPhase report misses
-// (never errors); Put/PutPhase are best-effort for callers that treat
+// behind the same calls as the local disk. GetPhase reports misses
+// (never errors); PutPhase is best-effort for callers that treat
 // persistence as an optimization.
 type Tier interface {
-	Get(key string, want []string) (*Entry, bool)
-	Put(key string, e *Entry) error
 	GetPhase(key string, want []string) (*PhaseEntry, bool)
 	PutPhase(key string, e *PhaseEntry) error
 }
 
-// Store is a persistent artifact cache rooted at one directory. It is
-// safe for concurrent use by multiple goroutines and multiple
+// Store is a persistent phase-snapshot cache rooted at one directory.
+// It is safe for concurrent use by multiple goroutines and multiple
 // processes.
 type Store struct {
-	dir    string // store root (holds the v1/ and v2/ subtrees)
-	v1, v2 string // versioned subtree roots
+	dir  string // store root
+	root string // the v2 subtree
 
 	hits, misses, puts                atomic.Int64
 	phaseHits, phaseMisses, phasePuts atomic.Int64
 	evictions, errors                 atomic.Int64
 }
 
+var _ Tier = (*Store)(nil)
+
 // Open returns a store rooted at dir ("" means DefaultDir), creating
-// the directory trees as needed.
+// the directory tree as needed.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		var err error
@@ -141,23 +151,17 @@ func Open(dir string) (*Store, error) {
 			return nil, err
 		}
 	}
-	s := &Store{
-		dir: dir,
-		v1:  filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion)),
-		v2:  filepath.Join(dir, fmt.Sprintf("v%d", PhaseSchemaVersion)),
-	}
-	for _, root := range []string{s.v1, s.v2} {
-		for _, sub := range []string{"manifests", "blobs", "tmp"} {
-			if err := os.MkdirAll(filepath.Join(root, sub), 0o755); err != nil {
-				return nil, fmt.Errorf("cache: %w", err)
-			}
+	s := &Store{dir: dir, root: filepath.Join(dir, fmt.Sprintf("v%d", PhaseSchemaVersion))}
+	for _, sub := range []string{"manifests", "blobs", "tmp"} {
+		if err := os.MkdirAll(filepath.Join(s.root, sub), 0o755); err != nil {
+			return nil, fmt.Errorf("cache: %w", err)
 		}
 	}
 	return s, nil
 }
 
 // Dir returns the store's root directory (without the version
-// components).
+// component).
 func (s *Store) Dir() string { return s.dir }
 
 // Stats returns a snapshot of the store's counters.
@@ -174,195 +178,156 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// manifest is the on-disk record for one design key (v1 subtree).
+// manifest is the on-disk record for one phase key.
 type manifest struct {
-	Version   int               `json:"version"`
-	Key       string            `json:"key"`
-	Module    string            `json:"module"`
-	Artifacts map[string]string `json:"artifacts"` // artifact key -> blob hash
-}
-
-// valid reports whether a decoded manifest has the shape Get relies
-// on.
-func (m *manifest) valid(key string) bool {
-	return m.Version == SchemaVersion && m.Key == key && m.Module != "" && len(m.Artifacts) > 0
-}
-
-// phaseManifest is the on-disk record for one phase key (v2 subtree).
-type phaseManifest struct {
 	Version int               `json:"version"`
 	Key     string            `json:"key"`
 	Phase   string            `json:"phase"`
+	Module  string            `json:"module,omitempty"`
 	Blobs   map[string]string `json:"blobs"` // blob name -> blob hash
 }
 
-func (m *phaseManifest) valid(key string) bool {
-	return m.Version == PhaseSchemaVersion && m.Key == key && m.Phase != "" && len(m.Blobs) > 0
+func (m *manifest) valid(key string) bool {
+	return m.Version == PhaseSchemaVersion && m.Key == key && ValidManifest(m.Phase, m.Module, len(m.Blobs))
 }
 
-// Get looks up a design key and resolves the wanted artifact keys. It
+// GetPhase looks up a phase key and resolves the wanted blob names. It
 // returns ok=false — a miss — when the manifest is absent, corrupt, or
-// lacks any wanted artifact, or when a referenced blob is missing or
-// fails hash verification. Corrupt files are deleted so the next Put
-// repairs them. A hit refreshes the manifest's LRU clock.
-func (s *Store) Get(key string, want []string) (*Entry, bool) {
-	m, ok := s.readManifest(key)
-	if !ok {
-		s.misses.Add(1)
-		return nil, false
-	}
-	e := &Entry{Module: m.Module, Artifacts: make(map[string]string, len(want))}
-	for _, k := range want {
-		hash, ok := m.Artifacts[k]
-		if !ok {
-			s.misses.Add(1)
-			return nil, false
-		}
-		text, ok := s.readBlob(s.v1, hash)
-		if !ok {
-			// A missing or corrupt blob invalidates the manifest that
-			// references it: drop both so the key rebuilds cleanly.
-			os.Remove(s.manifestPath(key))
-			s.misses.Add(1)
-			return nil, false
-		}
-		e.Artifacts[k] = text
-	}
-	s.hits.Add(1)
-	now := time.Now()
-	os.Chtimes(s.manifestPath(key), now, now) // LRU touch; best-effort
-	return e, true
-}
-
-// Put stores the entry's artifacts as blobs and writes (or merges
-// into) the key's manifest. Artifacts accumulate across Puts of the
-// same key, so different target sets share one manifest.
-func (s *Store) Put(key string, e *Entry) error {
-	if e.Module == "" || len(e.Artifacts) == 0 {
-		return fmt.Errorf("cache: refusing to store empty entry for %s", key)
-	}
-	hashes := make(map[string]string, len(e.Artifacts))
-	for k, text := range e.Artifacts {
-		h, err := s.writeBlob(s.v1, text)
-		if err != nil {
-			s.errors.Add(1)
-			return err
-		}
-		hashes[k] = h
-	}
-	return s.MergeManifest(key, e.Module, hashes)
-}
-
-// MergeManifest merges artifact-name → blob-hash references into the
-// key's v1 manifest, for callers (the remote cache server) whose blobs
-// arrive separately. The referenced blobs must already be in the store;
-// Put is the blob-writing front end over it.
-func (s *Store) MergeManifest(key, module string, hashes map[string]string) error {
-	if module == "" || len(hashes) == 0 {
-		return fmt.Errorf("cache: refusing to store empty manifest for %s", key)
-	}
-	// Merge with any existing manifest under a per-key lock so two
-	// processes caching different targets of one design don't drop each
-	// other's artifacts. A lost lock (timeout) degrades to last-wins.
-	unlock := s.lock(key+".lock", 2*time.Second)
-	defer unlock()
-	m, ok := s.readManifest(key)
-	if !ok {
-		m = &manifest{Version: SchemaVersion, Key: key, Module: module, Artifacts: hashes}
-	} else {
-		for k, h := range hashes {
-			m.Artifacts[k] = h
-		}
-		m.Module = module
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	if err := s.writeFileAtomic(s.v1, s.manifestPath(key), data); err != nil {
-		s.errors.Add(1)
-		return err
-	}
-	s.puts.Add(1)
-	return nil
-}
-
-// GetPhase looks up a phase key and resolves the wanted blob names,
-// with the same miss-and-repair discipline as Get. A hit refreshes the
-// phase manifest's LRU clock.
+// lacks any wanted blob, or when a referenced blob is missing or fails
+// hash verification. Corrupt files are deleted so the next put repairs
+// them. A hit refreshes the manifest's LRU clock.
 func (s *Store) GetPhase(key string, want []string) (*PhaseEntry, bool) {
-	m, ok := s.readPhaseManifest(key)
+	e, ok := s.get(key, want)
 	if !ok {
 		s.phaseMisses.Add(1)
 		return nil, false
 	}
-	e := &PhaseEntry{Phase: m.Phase, Blobs: make(map[string]string, len(want))}
-	for _, k := range want {
-		hash, ok := m.Blobs[k]
-		if !ok {
-			s.phaseMisses.Add(1)
-			return nil, false
-		}
-		text, ok := s.readBlob(s.v2, hash)
-		if !ok {
-			os.Remove(s.phaseManifestPath(key))
-			s.phaseMisses.Add(1)
-			return nil, false
-		}
-		e.Blobs[k] = text
-	}
 	s.phaseHits.Add(1)
-	now := time.Now()
-	os.Chtimes(s.phaseManifestPath(key), now, now) // LRU touch; best-effort
 	return e, true
 }
 
-// PutPhase stores one phase snapshot. Phase manifests are written
-// whole (a phase's blob set is produced in one shot, so there is
-// nothing to merge); concurrent writers of the same key converge via
-// the atomic rename.
+// PutPhase stores one phase snapshot: its blobs, then its manifest,
+// written whole (an entry's blob set is produced in one shot, so there
+// is nothing to merge); concurrent writers of the same key converge
+// via the atomic rename.
 func (s *Store) PutPhase(key string, e *PhaseEntry) error {
-	if e.Phase == "" || len(e.Blobs) == 0 {
-		return fmt.Errorf("cache: refusing to store empty phase entry for %s", key)
-	}
-	hashes := make(map[string]string, len(e.Blobs))
-	for k, text := range e.Blobs {
-		h, err := s.writeBlob(s.v2, text)
-		if err != nil {
-			s.errors.Add(1)
-			return err
-		}
-		hashes[k] = h
-	}
-	return s.PutPhaseManifest(key, e.Phase, hashes)
-}
-
-// PutPhaseManifest writes the key's v2 manifest from blob-name →
-// blob-hash references, for callers (the remote cache server) whose
-// blobs arrive separately; PutPhase is the blob-writing front end.
-func (s *Store) PutPhaseManifest(key, phase string, hashes map[string]string) error {
-	if phase == "" || len(hashes) == 0 {
-		return fmt.Errorf("cache: refusing to store empty phase manifest for %s", key)
-	}
-	m := &phaseManifest{Version: PhaseSchemaVersion, Key: key, Phase: phase, Blobs: hashes}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	if err := s.writeFileAtomic(s.v2, s.phaseManifestPath(key), data); err != nil {
-		s.errors.Add(1)
+	if err := s.put(key, e); err != nil {
 		return err
 	}
 	s.phasePuts.Add(1)
 	return nil
 }
 
+// Get reads a root entry: GetPhase for a design manifest, counted
+// toward Hits and Misses instead of the phase counters. A manifest of
+// another phase is a miss.
+func (s *Store) Get(key string, want []string) (*Entry, bool) {
+	e, ok := s.get(key, want)
+	if !ok || e.Phase != DesignPhase {
+		s.misses.Add(1)
+		return nil, false
+	}
+	s.hits.Add(1)
+	return &Entry{Module: e.Module, Artifacts: e.Blobs}, true
+}
+
+// Put stores a root entry: PutPhase of a design manifest, counted
+// toward Puts.
+func (s *Store) Put(key string, e *Entry) error {
+	if err := s.put(key, &PhaseEntry{Phase: DesignPhase, Module: e.Module, Blobs: e.Artifacts}); err != nil {
+		return err
+	}
+	s.puts.Add(1)
+	return nil
+}
+
+// get is GetPhase without the traffic counters.
+func (s *Store) get(key string, want []string) (*PhaseEntry, bool) {
+	m, ok := s.readManifest(key)
+	if !ok {
+		return nil, false
+	}
+	e := &PhaseEntry{Phase: m.Phase, Module: m.Module, Blobs: make(map[string]string, len(want))}
+	for _, k := range want {
+		hash, ok := m.Blobs[k]
+		if !ok {
+			return nil, false
+		}
+		text, ok := s.readBlob(hash)
+		if !ok {
+			// A missing or corrupt blob invalidates the manifest that
+			// references it: drop both so the key rebuilds cleanly.
+			os.Remove(s.manifestPath(key))
+			return nil, false
+		}
+		e.Blobs[k] = text
+	}
+	now := time.Now()
+	os.Chtimes(s.manifestPath(key), now, now) // LRU touch; best-effort
+	return e, true
+}
+
+// put is PutPhase without the traffic counters.
+func (s *Store) put(key string, e *PhaseEntry) error {
+	if !ValidManifest(e.Phase, e.Module, len(e.Blobs)) {
+		return fmt.Errorf("cache: refusing to store incomplete %q entry for %s", e.Phase, key)
+	}
+	hashes := make(map[string]string, len(e.Blobs))
+	for k, text := range e.Blobs {
+		h, err := s.WriteBlob(text)
+		if err != nil {
+			s.errors.Add(1)
+			return err
+		}
+		hashes[k] = h
+	}
+	return s.writeManifest(key, e.Phase, e.Module, hashes)
+}
+
+// PutPhaseManifest writes the key's manifest from blob-name → blob-hash
+// references, for callers (the remote cache server) whose blobs arrive
+// separately; PutPhase is the blob-writing front end.
+func (s *Store) PutPhaseManifest(key, phase, module string, hashes map[string]string) error {
+	if err := s.writeManifest(key, phase, module, hashes); err != nil {
+		return err
+	}
+	s.phasePuts.Add(1)
+	return nil
+}
+
+func (s *Store) writeManifest(key, phase, module string, hashes map[string]string) error {
+	if !ValidManifest(phase, module, len(hashes)) {
+		return fmt.Errorf("cache: refusing to store incomplete %q manifest for %s", phase, key)
+	}
+	m := &manifest{Version: PhaseSchemaVersion, Key: key, Phase: phase, Module: module, Blobs: hashes}
+	data, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	if err := s.writeFileAtomic(s.manifestPath(key), data); err != nil {
+		s.errors.Add(1)
+		return err
+	}
+	return nil
+}
+
+// PhaseManifest returns a phase key's raw manifest: the producing
+// phase, the resolved module (design entries only) and the blob-name →
+// blob-hash map.
+func (s *Store) PhaseManifest(key string) (phase, module string, blobs map[string]string, ok bool) {
+	m, ok := s.readManifest(key)
+	if !ok {
+		return "", "", nil, false
+	}
+	return m.Phase, m.Module, m.Blobs, true
+}
+
 // SnapshotPhase is the pseudo-phase name session snapshots are filed
-// under in the v2 subtree, and snapshotBlobName the single blob each
-// snapshot manifest references. Storing evicted execution sessions as
-// ordinary phase entries means they inherit everything the subtree
-// already guarantees: hash-verified reads, corrupt-entry repair, LRU
-// GC, and a line in the `eclc cache stats` phase inventory.
+// under, and snapshotBlobName the single blob each snapshot manifest
+// references. Storing evicted execution sessions as ordinary phase
+// entries means they inherit everything the subtree already
+// guarantees: hash-verified reads, corrupt-entry repair, LRU GC, and a
+// line in the `eclc cache stats` phase inventory.
 const (
 	SnapshotPhase    = "session-snapshot"
 	snapshotBlobName = "snapshot"
@@ -395,160 +360,126 @@ func (s *Store) GetSnapshot(key string) ([]byte, bool) {
 	return []byte(e.Blobs[snapshotBlobName]), true
 }
 
-// PhaseInfo summarizes one pipeline phase's footprint in the v2
-// subtree.
+// PhaseInfo summarizes one pipeline phase's footprint in the store.
 type PhaseInfo struct {
 	Entries int
 	Bytes   int64 // manifest bytes plus referenced blob bytes
 }
 
-// PhaseInventory walks the v2 subtree and groups its entries by the
+// PhaseInventory walks the store and groups its entries by the
 // pipeline phase that produced them (the `eclc cache stats` table).
 // Blobs shared by several manifests of one phase are counted once per
-// phase.
+// phase. A design entry's blobs are the emit phases' and are counted
+// there, so design entries are charged their manifests only.
 func (s *Store) PhaseInventory() (map[string]PhaseInfo, error) {
 	out := make(map[string]PhaseInfo)
 	seen := make(map[string]map[string]bool) // phase -> blob hash -> counted
-	err := filepath.WalkDir(filepath.Join(s.v2, "manifests"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-			return nil
-		}
-		key := d.Name()[:len(d.Name())-len(".json")]
-		m, ok := s.readPhaseManifest(key)
-		if !ok {
-			return nil
-		}
+	err := s.walkManifests(func(key string, size int64, _ time.Time, m *manifest) {
 		info := out[m.Phase]
 		info.Entries++
-		if fi, err := d.Info(); err == nil {
-			info.Bytes += fi.Size()
-		}
+		info.Bytes += size
 		if seen[m.Phase] == nil {
 			seen[m.Phase] = make(map[string]bool)
 		}
 		for _, h := range m.Blobs {
-			if seen[m.Phase][h] {
+			if m.Phase == DesignPhase || seen[m.Phase][h] {
 				continue
 			}
 			seen[m.Phase][h] = true
-			if fi, err := os.Stat(s.blobPathIn(s.v2, h)); err == nil {
+			if fi, err := os.Stat(s.blobPath(h)); err == nil {
 				info.Bytes += fi.Size()
 			}
 		}
 		out[m.Phase] = info
-		return nil
 	})
 	return out, err
 }
 
-// Clear removes every manifest and blob in both subtrees, leaving an
-// empty, usable store.
+// walkManifests calls f for every valid manifest in the store, with its
+// key, file size and modification time; corrupt manifests are deleted
+// (by readManifest) and skipped.
+func (s *Store) walkManifests(f func(key string, size int64, mtime time.Time, m *manifest)) error {
+	return filepath.WalkDir(filepath.Join(s.root, "manifests"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
+			return nil
+		}
+		info, err := d.Info()
+		if err != nil {
+			return nil
+		}
+		key := d.Name()[:len(d.Name())-len(".json")]
+		if m, ok := s.readManifest(key); ok {
+			f(key, info.Size(), info.ModTime(), m)
+		}
+		return nil
+	})
+}
+
+// Clear removes every manifest and blob (and a legacy v1/ subtree),
+// leaving an empty, usable store.
 func (s *Store) Clear() error {
-	for _, root := range []string{s.v1, s.v2} {
-		for _, sub := range []string{"manifests", "blobs", "tmp"} {
-			p := filepath.Join(root, sub)
-			if err := os.RemoveAll(p); err != nil {
-				return err
-			}
-			if err := os.MkdirAll(p, 0o755); err != nil {
-				return err
-			}
+	if err := os.RemoveAll(filepath.Join(s.dir, legacySubtree)); err != nil {
+		return err
+	}
+	for _, sub := range []string{"manifests", "blobs", "tmp"} {
+		p := filepath.Join(s.root, sub)
+		if err := os.RemoveAll(p); err != nil {
+			return err
+		}
+		if err := os.MkdirAll(p, 0o755); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Size walks both subtrees and returns their total bytes (manifests
-// plus blobs) and entry (manifest) count.
+// Size walks the store and returns its total bytes (manifests plus
+// blobs) and entry (manifest) count.
 func (s *Store) Size() (bytes int64, entries int, err error) {
-	for _, root := range []string{s.v1, s.v2} {
-		werr := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return nil // a file vanishing mid-walk is fine
-			}
-			info, err := d.Info()
-			if err != nil {
-				return nil
-			}
-			bytes += info.Size()
-			if filepath.Ext(path) == ".json" {
-				entries++
-			}
-			return nil
-		})
-		if werr != nil {
-			err = werr
+	err = filepath.WalkDir(s.root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return nil // a file vanishing mid-walk is fine
 		}
-	}
+		info, err := d.Info()
+		if err != nil {
+			return nil
+		}
+		bytes += info.Size()
+		if filepath.Ext(path) == ".json" {
+			entries++
+		}
+		return nil
+	})
 	return bytes, entries, err
 }
 
 // ---------------------------------------------------------------------------
-// Schema-addressed accessors (the remote cache server's storage API)
+// Blob accessors (also the remote cache server's storage API)
 
-var _ Tier = (*Store)(nil)
-
-// root maps a schema version (SchemaVersion or PhaseSchemaVersion) to
-// its subtree root; other versions report false.
-func (s *Store) root(version int) (string, bool) {
-	switch version {
-	case SchemaVersion:
-		return s.v1, true
-	case PhaseSchemaVersion:
-		return s.v2, true
-	}
-	return "", false
-}
-
-// HasBlob reports whether the given schema subtree holds a blob of the
-// hash (by existence; content is verified on read).
-func (s *Store) HasBlob(version int, hash string) bool {
-	root, ok := s.root(version)
-	if !ok {
-		return false
-	}
-	_, err := os.Stat(s.blobPathIn(root, hash))
+// HasBlob reports whether the store holds a blob of the hash (by
+// existence; content is verified on read).
+func (s *Store) HasBlob(hash string) bool {
+	_, err := os.Stat(s.blobPath(hash))
 	return err == nil
 }
 
-// ReadBlob returns the hash-verified content of one blob from the
-// given schema subtree; corrupt blobs are deleted and read as absent.
-func (s *Store) ReadBlob(version int, hash string) (string, bool) {
-	root, ok := s.root(version)
-	if !ok {
-		return "", false
-	}
-	return s.readBlob(root, hash)
-}
+// ReadBlob returns the hash-verified content of one blob; a missing or
+// corrupt blob reads as absent (and a corrupt one is deleted).
+func (s *Store) ReadBlob(hash string) (string, bool) { return s.readBlob(hash) }
 
-// WriteBlob stores content in the given schema subtree under its
-// SHA-256 and returns the hash.
-func (s *Store) WriteBlob(version int, text string) (string, error) {
-	root, ok := s.root(version)
-	if !ok {
-		return "", fmt.Errorf("cache: unknown schema version %d", version)
+// WriteBlob stores content under its SHA-256 (idempotent: an existing
+// blob of the same hash is left alone) and returns the hash.
+func (s *Store) WriteBlob(text string) (string, error) {
+	sum := sha256.Sum256([]byte(text))
+	hash := hex.EncodeToString(sum[:])
+	path := s.blobPath(hash)
+	if _, err := os.Stat(path); err == nil {
+		return hash, nil
 	}
-	return s.writeBlob(root, text)
-}
-
-// Manifest returns a design key's raw v1 manifest: the module name and
-// the artifact-name → blob-hash map (not the blob contents).
-func (s *Store) Manifest(key string) (module string, artifacts map[string]string, ok bool) {
-	m, ok := s.readManifest(key)
-	if !ok {
-		return "", nil, false
+	if err := s.writeFileAtomic(path, []byte(text)); err != nil {
+		return "", err
 	}
-	return m.Module, m.Artifacts, true
-}
-
-// PhaseManifest returns a phase key's raw v2 manifest: the producing
-// phase and the blob-name → blob-hash map.
-func (s *Store) PhaseManifest(key string) (phase string, blobs map[string]string, ok bool) {
-	m, ok := s.readPhaseManifest(key)
-	if !ok {
-		return "", nil, false
-	}
-	return m.Phase, m.Blobs, true
+	return hash, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -562,21 +493,15 @@ func shard(hash string) string {
 }
 
 func (s *Store) manifestPath(key string) string {
-	return filepath.Join(s.v1, "manifests", shard(key), key+".json")
+	return filepath.Join(s.root, "manifests", shard(key), key+".json")
 }
 
-func (s *Store) phaseManifestPath(key string) string {
-	return filepath.Join(s.v2, "manifests", shard(key), key+".json")
+func (s *Store) blobPath(hash string) string {
+	return filepath.Join(s.root, "blobs", shard(hash), hash)
 }
 
-func (s *Store) blobPath(hash string) string { return s.blobPathIn(s.v1, hash) }
-
-func (s *Store) blobPathIn(root, hash string) string {
-	return filepath.Join(root, "blobs", shard(hash), hash)
-}
-
-// readManifest loads and validates a design key's manifest, deleting
-// it on corruption. Swallowed failures other than plain absence count
+// readManifest loads and validates a phase key's manifest, deleting it
+// on corruption. Swallowed failures other than plain absence count
 // toward the Errors stat.
 func (s *Store) readManifest(key string) (*manifest, bool) {
 	path := s.manifestPath(key)
@@ -596,30 +521,11 @@ func (s *Store) readManifest(key string) (*manifest, bool) {
 	return &m, true
 }
 
-// readPhaseManifest is readManifest for the v2 subtree.
-func (s *Store) readPhaseManifest(key string) (*phaseManifest, bool) {
-	path := s.phaseManifestPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.errors.Add(1)
-		}
-		return nil, false
-	}
-	var m phaseManifest
-	if err := json.Unmarshal(data, &m); err != nil || !m.valid(key) {
-		s.errors.Add(1)
-		os.Remove(path)
-		return nil, false
-	}
-	return &m, true
-}
-
-// readBlob loads a blob from the given subtree and verifies its
-// content hash, deleting it on mismatch (truncation, garbage, partial
-// write from a crashed non-atomic filesystem).
-func (s *Store) readBlob(root, hash string) (string, bool) {
-	path := s.blobPathIn(root, hash)
+// readBlob loads a blob and verifies its content hash, deleting it on
+// mismatch (truncation, garbage, partial write from a crashed
+// non-atomic filesystem).
+func (s *Store) readBlob(hash string) (string, bool) {
+	path := s.blobPath(hash)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		s.errors.Add(1) // a referenced blob should exist and be readable
@@ -634,30 +540,14 @@ func (s *Store) readBlob(root, hash string) (string, bool) {
 	return string(data), true
 }
 
-// writeBlob stores content in the given subtree under its hash
-// (idempotent: an existing blob of the same hash is left alone) and
-// returns the hash.
-func (s *Store) writeBlob(root, text string) (string, error) {
-	sum := sha256.Sum256([]byte(text))
-	hash := hex.EncodeToString(sum[:])
-	path := s.blobPathIn(root, hash)
-	if _, err := os.Stat(path); err == nil {
-		return hash, nil
-	}
-	if err := s.writeFileAtomic(root, path, []byte(text)); err != nil {
-		return "", err
-	}
-	return hash, nil
-}
-
-// writeFileAtomic writes via a temp file in the subtree's tmp/ dir and
-// renames into place, so concurrent readers and crashed writers never
-// expose partial content.
-func (s *Store) writeFileAtomic(root, path string, data []byte) error {
+// writeFileAtomic writes via a temp file in tmp/ and renames into
+// place, so concurrent readers and crashed writers never expose
+// partial content.
+func (s *Store) writeFileAtomic(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Join(root, "tmp"), "w*")
+	tmp, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "w*")
 	if err != nil {
 		return err
 	}

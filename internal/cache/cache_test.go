@@ -3,6 +3,7 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -54,17 +55,42 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPutMergesArtifacts(t *testing.T) {
+// TestDesignManifest: a root entry is an ordinary phase manifest that
+// records its module, and it must name one — a design entry without a
+// module is refused on write and, written by hand, reads as a corrupt
+// manifest. Get and Put read and write the same entry through their
+// own counters.
+func TestDesignManifest(t *testing.T) {
 	s := testStore(t)
-	if err := s.Put("k", entry("m", "c", "CC")); err != nil {
+	if err := s.PutPhase("k", &PhaseEntry{Phase: DesignPhase, Blobs: map[string]string{"c": "CC"}}); err == nil {
+		t.Fatal("design entry without a module was stored")
+	}
+	if err := s.PutPhase("k", &PhaseEntry{Phase: DesignPhase, Module: "m", Blobs: map[string]string{"c": "CC"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("k", entry("m", "go", "GG")); err != nil {
+	if got, ok := s.Get("k", []string{"c"}); !ok || got.Module != "m" || got.Artifacts["c"] != "CC" {
+		t.Fatalf("Get of a design manifest = %+v, %v", got, ok)
+	}
+	if err := s.PutPhase("e", &PhaseEntry{Phase: "emit-c", Blobs: map[string]string{"text": "CC"}}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get("k", []string{"c", "go"})
-	if !ok || got.Artifacts["c"] != "CC" || got.Artifacts["go"] != "GG" {
-		t.Fatalf("merge lost artifacts: %+v ok=%v", got, ok)
+	if _, ok := s.Get("e", []string{"text"}); ok {
+		t.Fatal("Get served an emit-phase manifest as a root entry")
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Puts != 0 || st.PhasePuts != 2 || st.PhaseHits+st.PhaseMisses != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	// The blob both entries reference is charged to the emit phase.
+	inv, err := s.PhaseInventory()
+	fi, serr := os.Stat(s.manifestPath("k"))
+	if err != nil || serr != nil || inv[DesignPhase].Entries != 1 || inv[DesignPhase].Bytes != fi.Size() {
+		t.Fatalf("design inventory = %+v (%v, %v), want one entry of its manifest's bytes", inv[DesignPhase], err, serr)
+	}
+	if err := os.WriteFile(s.manifestPath("k"), []byte(`{"version":2,"key":"k","phase":"design","blobs":{"c":"x"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetPhase("k", []string{"c"}); ok {
+		t.Fatal("design manifest without a module read as a hit")
 	}
 }
 
@@ -180,6 +206,60 @@ func TestGCMaxAge(t *testing.T) {
 		if _, ok := s.Get(k, []string{"c"}); !ok {
 			t.Fatalf("%s wrongly evicted", k)
 		}
+	}
+}
+
+// TestGCGoesOnWhenLegacyRemovalFails: a legacy v1/ subtree that cannot
+// be removed does not stop the pass. The aged entry is still evicted,
+// the error is returned, and only bytes actually removed count as
+// freed; the next pass that can remove v1/ does.
+func TestGCGoesOnWhenLegacyRemovalFails(t *testing.T) {
+	s := testStore(t)
+	for _, k := range []string{"k0", "k1"} {
+		if err := s.Put(k, entry("m", "c", "text "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(s.manifestPath("k0"), old, old); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(s.Dir(), "v1", "manifests", "ab", "abcd.json")
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	aged, err := os.Stat(s.manifestPath("k0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := sha256.Sum256([]byte("text k0"))
+
+	denied := fmt.Errorf("v1 busy")
+	removeAll = func(string) error { return denied }
+	res, err := s.GC(0, 24*time.Hour)
+	removeAll = os.RemoveAll
+	if !errors.Is(err, denied) {
+		t.Errorf("GC error %v, want the removal's", err)
+	}
+	if want := aged.Size() + int64(len("text k0")); res.EvictedEntries != 1 || res.FreedBytes != want {
+		t.Errorf("GC evicted %d entries freeing %d bytes, want the aged entry's 1 and %d", res.EvictedEntries, res.FreedBytes, want)
+	}
+	if _, err := os.Stat(s.blobPath(hex.EncodeToString(blob[:]))); !os.IsNotExist(err) {
+		t.Errorf("aged entry's blob survived (stat: %v)", err)
+	}
+	if _, ok := s.Get("k1", []string{"c"}); !ok {
+		t.Error("fresh entry evicted")
+	}
+
+	res, err = s.GC(0, 0)
+	if err != nil || res.FreedBytes != 3 {
+		t.Errorf("second GC freed %d bytes (%v), want v1/'s 3", res.FreedBytes, err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), "v1")); !os.IsNotExist(err) {
+		t.Errorf("v1/ survived the second GC (stat: %v)", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -9,17 +10,16 @@ import (
 )
 
 // gcGrace protects very recent orphan blobs (and tmp files) from the
-// sweep: a concurrent Put writes blobs before its manifest, so a blob
+// sweep: a concurrent put writes blobs before its manifest, so a blob
 // may legitimately be referenced by no manifest for a moment. Blobs
 // that stop being referenced because GC itself evicted their manifest
-// are freed immediately — the GC lock is held, and a racing Put that
+// are freed immediately — the GC lock is held, and a racing put that
 // loses a shared blob just repairs on the next miss.
 const gcGrace = time.Hour
 
 // GCResult reports one GC pass.
 type GCResult struct {
-	// EvictedEntries is the number of manifests removed (design and
-	// phase manifests alike).
+	// EvictedEntries is the number of manifests removed.
 	EvictedEntries int
 	// EvictedBlobs is the number of blob files removed.
 	EvictedBlobs int
@@ -31,112 +31,69 @@ type GCResult struct {
 }
 
 type gcEntry struct {
-	root  string // subtree the entry lives in (blobs are per-subtree)
-	key   string
 	path  string
 	size  int64
 	mtime time.Time
-	blobs []string
+	blobs map[string]string
 }
 
-// gcTree is the per-subtree blob bookkeeping for one GC pass.
-type gcTree struct {
-	blobSize map[string]int64
-	blobTime map[string]time.Time
-	refs     map[string]int
-}
-
-// GC trims the store to the given bounds using LRU order (a Get hit
+// GC trims the store to the given bounds using LRU order (a hit
 // refreshes a manifest's clock). maxAge > 0 evicts entries unused for
 // longer; maxBytes > 0 then evicts least-recently-used entries until
-// the store fits. Both schema subtrees (v1 design manifests and v2
-// phase manifests) share one LRU clock and one byte budget. Evicting
-// an entry immediately frees the blobs only it referenced; orphan
-// blobs never referenced by any manifest are swept too unless very
-// recent (they may belong to an in-flight Put). Zero bounds skip their
-// respective phase, so GC(0, 0) is just an orphan sweep.
+// the store fits. Evicting an entry immediately frees the blobs only
+// it referenced; orphan blobs never referenced by any manifest are
+// swept too unless very recent (they may belong to an in-flight put).
+// Zero bounds skip their respective phase, so GC(0, 0) is just an
+// orphan sweep. Every pass also removes a legacy v1/ subtree whole,
+// counting the bytes it removed as freed; a failure to remove it does
+// not stop the pass, and is returned with the pass's own error.
 func (s *Store) GC(maxBytes int64, maxAge time.Duration) (GCResult, error) {
 	unlock := s.lock("gc.lock", 5*time.Second)
 	defer unlock()
 
 	var res GCResult
 	now := time.Now()
+	legacy := filepath.Join(s.dir, legacySubtree)
+	legacyBytes := treeBytes(legacy)
+	legacyErr := removeAll(legacy)
+	res.FreedBytes = legacyBytes - treeBytes(legacy)
 
-	// Inventory manifests (dropping corrupt ones) and blobs in both
-	// subtrees, and refcount every blob so eviction can free
-	// exclusively-owned blobs in O(1).
+	// Inventory manifests (dropping corrupt ones) and blobs, and
+	// refcount every blob so eviction can free exclusively-owned blobs
+	// in O(1).
 	var entries []gcEntry
-	trees := map[string]*gcTree{}
-	for _, root := range []string{s.v1, s.v2} {
-		root := root
-		tr := &gcTree{
-			blobSize: map[string]int64{},
-			blobTime: map[string]time.Time{},
-			refs:     map[string]int{},
+	s.walkManifests(func(key string, size int64, mtime time.Time, m *manifest) {
+		entries = append(entries, gcEntry{path: s.manifestPath(key), size: size, mtime: mtime, blobs: m.Blobs})
+	})
+	blobSize := map[string]int64{}
+	blobTime := map[string]time.Time{}
+	refs := map[string]int{}
+	filepath.WalkDir(filepath.Join(s.root, "blobs"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return nil
 		}
-		trees[root] = tr
-		filepath.WalkDir(filepath.Join(root, "manifests"), func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-				return nil
-			}
-			info, err := d.Info()
-			if err != nil {
-				return nil
-			}
-			key := d.Name()[:len(d.Name())-len(".json")]
-			var blobs []string
-			if root == s.v1 {
-				m, ok := s.readManifest(key)
-				if !ok {
-					return nil // corrupt: readManifest already deleted it
-				}
-				for _, h := range m.Artifacts {
-					blobs = append(blobs, h)
-				}
-			} else {
-				m, ok := s.readPhaseManifest(key)
-				if !ok {
-					return nil
-				}
-				for _, h := range m.Blobs {
-					blobs = append(blobs, h)
-				}
-			}
-			entries = append(entries, gcEntry{
-				root: root, key: key, path: path,
-				size: info.Size(), mtime: info.ModTime(), blobs: blobs,
-			})
-			return nil
-		})
-		filepath.WalkDir(filepath.Join(root, "blobs"), func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return nil
-			}
-			if info, err := d.Info(); err == nil {
-				tr.blobSize[d.Name()] = info.Size()
-				tr.blobTime[d.Name()] = info.ModTime()
-			}
-			return nil
-		})
-	}
+		if info, err := d.Info(); err == nil {
+			blobSize[d.Name()] = info.Size()
+			blobTime[d.Name()] = info.ModTime()
+		}
+		return nil
+	})
 	for _, e := range entries {
 		for _, h := range e.blobs {
-			trees[e.root].refs[h]++
+			refs[h]++
 		}
 	}
 	// The size phase targets only bytes it could actually reclaim:
-	// grace-protected orphan blobs (likely an in-flight Put) are
+	// grace-protected orphan blobs (likely an in-flight put) are
 	// excluded from the running total, otherwise one large recent
 	// orphan would make the loop evict every live entry without ever
 	// reaching the budget.
 	total := int64(0)
-	for _, tr := range trees {
-		for h, sz := range tr.blobSize {
-			if tr.refs[h] == 0 && now.Sub(tr.blobTime[h]) < gcGrace {
-				continue
-			}
-			total += sz
+	for h, sz := range blobSize {
+		if refs[h] == 0 && now.Sub(blobTime[h]) < gcGrace {
+			continue
 		}
+		total += sz
 	}
 	for _, e := range entries {
 		total += e.size
@@ -149,21 +106,20 @@ func (s *Store) GC(maxBytes int64, maxAge time.Duration) (GCResult, error) {
 		total -= e.size
 		res.EvictedEntries++
 		res.FreedBytes += e.size
-		tr := trees[e.root]
 		for _, h := range e.blobs {
-			tr.refs[h]--
-			if tr.refs[h] > 0 {
+			refs[h]--
+			if refs[h] > 0 {
 				continue
 			}
-			sz, onDisk := tr.blobSize[h]
+			sz, onDisk := blobSize[h]
 			if !onDisk {
 				continue
 			}
-			if os.Remove(s.blobPathIn(e.root, h)) == nil {
+			if os.Remove(s.blobPath(h)) == nil {
 				res.EvictedBlobs++
 				res.FreedBytes += sz
 				total -= sz
-				delete(tr.blobSize, h)
+				delete(blobSize, h)
 			}
 		}
 	}
@@ -187,29 +143,46 @@ func (s *Store) GC(maxBytes int64, maxAge time.Duration) (GCResult, error) {
 
 	// Sweep orphan blobs — never referenced by any manifest we saw —
 	// with the grace window, plus stale tmp files.
-	for root, tr := range trees {
-		for h, sz := range tr.blobSize {
-			if tr.refs[h] > 0 || now.Sub(tr.blobTime[h]) < gcGrace {
-				continue
-			}
-			if os.Remove(s.blobPathIn(root, h)) == nil {
-				res.EvictedBlobs++
-				res.FreedBytes += sz
-			}
+	for h, sz := range blobSize {
+		if refs[h] > 0 || now.Sub(blobTime[h]) < gcGrace {
+			continue
 		}
-		filepath.WalkDir(filepath.Join(root, "tmp"), func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return nil
-			}
-			if info, err := d.Info(); err == nil && now.Sub(info.ModTime()) > gcGrace {
-				os.Remove(path)
-			}
-			return nil
-		})
+		if os.Remove(s.blobPath(h)) == nil {
+			res.EvictedBlobs++
+			res.FreedBytes += sz
+		}
 	}
+	filepath.WalkDir(filepath.Join(s.root, "tmp"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return nil
+		}
+		if info, err := d.Info(); err == nil && now.Sub(info.ModTime()) > gcGrace {
+			os.Remove(path)
+		}
+		return nil
+	})
 
 	s.evictions.Add(int64(res.EvictedEntries))
 	var err error
 	res.LiveBytes, res.LiveEntries, err = s.Size()
-	return res, err
+	return res, errors.Join(legacyErr, err)
+}
+
+// removeAll is os.RemoveAll; a variable so tests can make removing the
+// legacy subtree fail.
+var removeAll = os.RemoveAll
+
+// treeBytes is the total size of the files under dir (0 when dir does
+// not exist).
+func treeBytes(dir string) int64 {
+	var n int64
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			if info, err := d.Info(); err == nil {
+				n += info.Size()
+			}
+		}
+		return nil
+	})
+	return n
 }

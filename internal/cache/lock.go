@@ -34,7 +34,7 @@ var writeLockToken = func(f *os.File, token string) error {
 // rename-aside), so a holder that outlived lockStale and was broken
 // cannot delete its successor's live lock.
 func (s *Store) lock(name string, wait time.Duration) (unlock func()) {
-	path := filepath.Join(s.v1, "tmp", name)
+	path := filepath.Join(s.root, "tmp", name)
 	token := fmt.Sprintf("%d-%d", os.Getpid(), lockSeq.Add(1))
 	deadline := time.Now().Add(wait)
 	backoff := time.Millisecond
@@ -87,8 +87,8 @@ func (s *Store) lock(name string, wait time.Duration) (unlock func()) {
 // in the file and leaves it alone. (The read-then-remove pair is not
 // atomic, but the gap is microseconds while a takeover additionally
 // requires the lock to age past lockStale — and even a lost race only
-// degrades the guarded merge to last-wins, which the store's
-// atomic-rename discipline already tolerates.)
+// lets two GC sweeps overlap, which the store's atomic-rename
+// discipline already tolerates.)
 func (s *Store) unlock(path, token string) {
 	data, err := os.ReadFile(path)
 	if err == nil && string(data) == token {

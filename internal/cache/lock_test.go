@@ -40,7 +40,7 @@ func TestLockRetriesAfterFailedTokenWrite(t *testing.T) {
 
 	// The acquired lock must carry a readable, correct token: a second
 	// contender's unlock-by-token discipline depends on it.
-	path := filepath.Join(s.v1, "tmp", "regress.lock")
+	path := filepath.Join(s.root, "tmp", "regress.lock")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("lock file unreadable after acquisition: %v", err)

@@ -6,20 +6,23 @@
 //   - Server wraps an ordinary on-disk cache.Store as an http.Handler
 //     (the eclcached binary is a thin main around it);
 //   - Client speaks the protocol and implements cache.Tier, so the
-//     driver and pipeline slot it in as a third tier behind memory and
-//     the local disk: memory → disk → remote → compile.
+//     pipeline slots it in as a third tier behind memory and the local
+//     disk: memory → disk → remote → build, for the root entry and for
+//     every phase snapshot alike.
 //
-// # Protocol (v1 of the wire format)
+// # Protocol
 //
 // Everything is content-addressed, mirroring the store's on-disk
-// schema — blobs by the SHA-256 of their bytes, manifests by build key:
+// schema — blobs by the SHA-256 of their bytes, manifests by phase key:
 //
-//	GET/HEAD/PUT /v1/blobs/{sha256}      whole-design artifact bytes
-//	GET/HEAD/PUT /v2/blobs/{sha256}      phase-snapshot bytes
-//	GET/PUT      /v1/manifests/{key}     {"module":m,"artifacts":{name:sha256}}
-//	GET/PUT      /v2/manifests/{key}     {"phase":p,"blobs":{name:sha256}}
+//	GET/HEAD/PUT /v2/blobs/{sha256}      snapshot and artifact bytes
+//	GET/PUT      /v2/manifests/{key}     {"phase":p,"module":m,"blobs":{name:sha256}}
 //	GET          /healthz                liveness probe
-//	GET          /statsz                 backing store's cache.Stats as JSON
+//	GET          /statsz                 protocol traffic and store footprint as JSON
+//
+// The module field is present on design (root) manifests only. Any
+// other schema version in the path, /v1/ included, is answered 400,
+// which a client of an older build reads as a miss.
 //
 // Blob PUTs are verified server-side (body hash must match the URL) and
 // blob GETs are re-verified client-side, so neither a corrupt store nor
@@ -80,16 +83,14 @@ const uploadWorkers = 4
 // above anything legitimate.
 const maxBlobBytes = 256 << 20
 
-// Stats counts client traffic since Dial. Hits/Misses cover v1 design
-// manifests, PhaseHits/PhaseMisses the v2 phase tier (mirroring
-// cache.Stats); Uploads counts manifests successfully pushed, Dropped
-// uploads discarded on a full queue, and Errors every degraded read or
-// failed upload.
+// Stats counts client traffic since Dial. Hits and Misses count
+// GetPhase calls, root entries included; Uploads counts manifests
+// successfully pushed, Dropped uploads discarded on a full queue, and
+// Errors every degraded read or failed upload.
 type Stats struct {
-	Hits, Misses           int64
-	PhaseHits, PhaseMisses int64
-	Uploads, Dropped       int64
-	Errors                 int64
+	Hits, Misses     int64
+	Uploads, Dropped int64
+	Errors           int64
 }
 
 // Client speaks the remote cache protocol against one server. It
@@ -109,20 +110,17 @@ type Client struct {
 	mu     sync.Mutex
 	closed bool
 
-	hits, misses           atomic.Int64
-	phaseHits, phaseMisses atomic.Int64
-	uploads, dropped       atomic.Int64
-	errors                 atomic.Int64
+	hits, misses     atomic.Int64
+	uploads, dropped atomic.Int64
+	errors           atomic.Int64
 }
 
 var _ cache.Tier = (*Client)(nil)
 
 // uploadJob is one queued manifest upload (blobs travel with it).
 type uploadJob struct {
-	version int
-	key     string
-	owner   string            // module (v1) or phase (v2)
-	blobs   map[string]string // name -> content
+	key   string
+	entry cache.PhaseEntry // blobs by name -> content
 }
 
 // Dial returns a client for the server at rawURL (http or https), with
@@ -171,13 +169,11 @@ func (c *Client) URL() string { return c.base }
 // Stats returns a snapshot of the client's counters.
 func (c *Client) Stats() Stats {
 	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		PhaseHits:   c.phaseHits.Load(),
-		PhaseMisses: c.phaseMisses.Load(),
-		Uploads:     c.uploads.Load(),
-		Dropped:     c.dropped.Load(),
-		Errors:      c.errors.Load(),
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Uploads: c.uploads.Load(),
+		Dropped: c.dropped.Load(),
+		Errors:  c.errors.Load(),
 	}
 }
 
@@ -186,7 +182,8 @@ func (c *Client) Stats() Stats {
 func (c *Client) Flush() { c.pending.Wait() }
 
 // Close flushes pending uploads and stops the workers. The client's
-// read path keeps working after Close; further Puts are dropped.
+// read path keeps working after Close; further PutPhase calls are
+// dropped.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -203,65 +200,37 @@ func (c *Client) Close() {
 // ---------------------------------------------------------------------------
 // Read path (synchronous; every failure is a miss)
 
-// wireManifest is both manifest bodies on the wire: Module/Artifacts
-// for v1, Phase/Blobs for v2.
+// wireManifest is a manifest body on the wire.
 type wireManifest struct {
-	Module    string            `json:"module,omitempty"`
-	Artifacts map[string]string `json:"artifacts,omitempty"`
-	Phase     string            `json:"phase,omitempty"`
-	Blobs     map[string]string `json:"blobs,omitempty"`
+	Phase  string            `json:"phase"`
+	Module string            `json:"module,omitempty"`
+	Blobs  map[string]string `json:"blobs"`
 }
 
-// Get fetches a design key's manifest and the wanted artifact blobs,
-// hash-verifying each. Any failure — network, non-200, corrupt body —
-// is a miss.
-func (c *Client) Get(key string, want []string) (*cache.Entry, bool) {
+// GetPhase fetches a phase key's manifest and the wanted blobs,
+// hash-verifying each. Any failure — network, non-200, corrupt body,
+// an incomplete manifest — is a miss.
+func (c *Client) GetPhase(key string, want []string) (*cache.PhaseEntry, bool) {
 	var m wireManifest
-	if !c.getJSON(fmt.Sprintf("%s/v%d/manifests/%s", c.base, cache.SchemaVersion, url.PathEscape(key)), &m) || m.Module == "" {
+	if !c.getJSON(c.manifestURL(key), &m) || !cache.ValidManifest(m.Phase, m.Module, len(m.Blobs)) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	e := &cache.Entry{Module: m.Module, Artifacts: make(map[string]string, len(want))}
-	for _, k := range want {
-		hash, ok := m.Artifacts[k]
-		if !ok {
-			c.misses.Add(1)
-			return nil, false
-		}
-		text, ok := c.getBlob(cache.SchemaVersion, hash)
-		if !ok {
-			c.misses.Add(1)
-			return nil, false
-		}
-		e.Artifacts[k] = text
-	}
-	c.hits.Add(1)
-	return e, true
-}
-
-// GetPhase fetches a phase key's manifest and the wanted snapshot
-// blobs, with the same miss-on-any-failure discipline as Get.
-func (c *Client) GetPhase(key string, want []string) (*cache.PhaseEntry, bool) {
-	var m wireManifest
-	if !c.getJSON(fmt.Sprintf("%s/v%d/manifests/%s", c.base, cache.PhaseSchemaVersion, url.PathEscape(key)), &m) || m.Phase == "" {
-		c.phaseMisses.Add(1)
-		return nil, false
-	}
-	e := &cache.PhaseEntry{Phase: m.Phase, Blobs: make(map[string]string, len(want))}
+	e := &cache.PhaseEntry{Phase: m.Phase, Module: m.Module, Blobs: make(map[string]string, len(want))}
 	for _, k := range want {
 		hash, ok := m.Blobs[k]
 		if !ok {
-			c.phaseMisses.Add(1)
+			c.misses.Add(1)
 			return nil, false
 		}
-		text, ok := c.getBlob(cache.PhaseSchemaVersion, hash)
+		text, ok := c.getBlob(hash)
 		if !ok {
-			c.phaseMisses.Add(1)
+			c.misses.Add(1)
 			return nil, false
 		}
 		e.Blobs[k] = text
 	}
-	c.phaseHits.Add(1)
+	c.hits.Add(1)
 	return e, true
 }
 
@@ -296,8 +265,8 @@ func (c *Client) getJSON(u string, out any) bool {
 // getBlob fetches one blob and verifies its SHA-256 against the
 // requested hash, so a corrupt server or path can never substitute
 // wrong content — it reads as a miss.
-func (c *Client) getBlob(version int, hash string) (string, bool) {
-	resp, err := c.blobHC.Get(c.blobURL(version, hash))
+func (c *Client) getBlob(hash string) (string, bool) {
+	resp, err := c.blobHC.Get(c.blobURL(hash))
 	if err != nil {
 		c.errors.Add(1)
 		return "", false
@@ -322,8 +291,12 @@ func (c *Client) getBlob(version int, hash string) (string, bool) {
 	return string(body), true
 }
 
-func (c *Client) blobURL(version int, hash string) string {
-	return fmt.Sprintf("%s/v%d/blobs/%s", c.base, version, hash)
+func (c *Client) blobURL(hash string) string {
+	return fmt.Sprintf("%s/v%d/blobs/%s", c.base, cache.PhaseSchemaVersion, hash)
+}
+
+func (c *Client) manifestURL(key string) string {
+	return fmt.Sprintf("%s/v%d/manifests/%s", c.base, cache.PhaseSchemaVersion, url.PathEscape(key))
 }
 
 // drain discards and closes a response body so the underlying
@@ -336,18 +309,12 @@ func drain(resp *http.Response) {
 // ---------------------------------------------------------------------------
 // Write path (asynchronous, bounded, best-effort)
 
-// Put queues the entry for upload and returns immediately; call Flush
-// (or Close) to wait for the queue to drain. A full queue drops the
-// upload. The returned error is always nil — uploads are best-effort
-// by contract.
-func (c *Client) Put(key string, e *cache.Entry) error {
-	c.enqueue(uploadJob{version: cache.SchemaVersion, key: key, owner: e.Module, blobs: copyMap(e.Artifacts)})
-	return nil
-}
-
-// PutPhase queues one phase snapshot for upload, like Put.
+// PutPhase queues one phase snapshot for upload and returns
+// immediately; call Flush (or Close) to wait for the queue to drain. A
+// full queue drops the upload. The returned error is always nil —
+// uploads are best-effort by contract.
 func (c *Client) PutPhase(key string, e *cache.PhaseEntry) error {
-	c.enqueue(uploadJob{version: cache.PhaseSchemaVersion, key: key, owner: e.Phase, blobs: copyMap(e.Blobs)})
+	c.enqueue(uploadJob{key: key, entry: cache.PhaseEntry{Phase: e.Phase, Module: e.Module, Blobs: copyMap(e.Blobs)}})
 	return nil
 }
 
@@ -360,7 +327,7 @@ func copyMap(m map[string]string) map[string]string {
 }
 
 func (c *Client) enqueue(job uploadJob) {
-	if job.owner == "" || len(job.blobs) == 0 {
+	if !cache.ValidManifest(job.entry.Phase, job.entry.Module, len(job.entry.Blobs)) {
 		return
 	}
 	c.mu.Lock()
@@ -392,30 +359,24 @@ func (c *Client) uploadLoop() {
 // content the server already has (the content-addressed win), PUT the
 // missing ones, then PUT the manifest referencing them.
 func (c *Client) upload(job uploadJob) {
-	hashes := make(map[string]string, len(job.blobs))
-	for name, text := range job.blobs {
+	hashes := make(map[string]string, len(job.entry.Blobs))
+	for name, text := range job.entry.Blobs {
 		sum := sha256.Sum256([]byte(text))
 		hash := hex.EncodeToString(sum[:])
-		if !c.headOK(c.blobURL(job.version, hash)) {
-			if !c.putBody(c.blobHC, c.blobURL(job.version, hash), "application/octet-stream", []byte(text)) {
+		if !c.headOK(c.blobURL(hash)) {
+			if !c.putBody(c.blobHC, c.blobURL(hash), "application/octet-stream", []byte(text)) {
 				c.errors.Add(1)
 				return
 			}
 		}
 		hashes[name] = hash
 	}
-	var m wireManifest
-	if job.version == cache.SchemaVersion {
-		m = wireManifest{Module: job.owner, Artifacts: hashes}
-	} else {
-		m = wireManifest{Phase: job.owner, Blobs: hashes}
-	}
-	body, err := json.Marshal(m)
+	body, err := json.Marshal(wireManifest{Phase: job.entry.Phase, Module: job.entry.Module, Blobs: hashes})
 	if err != nil {
 		c.errors.Add(1)
 		return
 	}
-	if !c.putBody(c.hc, fmt.Sprintf("%s/v%d/manifests/%s", c.base, job.version, url.PathEscape(job.key)), "application/json", body) {
+	if !c.putBody(c.hc, c.manifestURL(job.key), "application/json", body) {
 		c.errors.Add(1)
 		return
 	}

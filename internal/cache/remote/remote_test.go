@@ -42,22 +42,29 @@ func key64(tag string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestRoundTripDesignEntry is the core contract: an entry uploaded by
-// one client is served, byte-identical and hash-verified, to another
-// client of the same server — the shared-tier story end to end.
+// designEntry is a root entry of the given module with one "c" blob.
+func designEntry(module, c string) *cache.PhaseEntry {
+	return &cache.PhaseEntry{Phase: cache.DesignPhase, Module: module, Blobs: map[string]string{"c": c}}
+}
+
+// TestRoundTripDesignEntry is the core contract: a root entry uploaded
+// by one client is served, module and blobs byte-identical and
+// hash-verified, to another client of the same server — the
+// shared-tier story end to end.
 func TestRoundTripDesignEntry(t *testing.T) {
-	srv, _ := startServer(t)
+	srv, store := startServer(t)
 	key := key64("design")
-	entry := &cache.Entry{
+	entry := &cache.PhaseEntry{
+		Phase:  cache.DesignPhase,
 		Module: "abro",
-		Artifacts: map[string]string{
+		Blobs: map[string]string{
 			"c":       "int tick(void) { return 1; }\n",
 			"esterel": "module ABRO:\nend module\n",
 		},
 	}
 
 	up := dialT(t, srv.URL)
-	if err := up.Put(key, entry); err != nil {
+	if err := up.PutPhase(key, entry); err != nil {
 		t.Fatal(err)
 	}
 	up.Flush()
@@ -66,34 +73,38 @@ func TestRoundTripDesignEntry(t *testing.T) {
 	}
 
 	down := dialT(t, srv.URL)
-	got, ok := down.Get(key, []string{"c", "esterel"})
+	got, ok := down.GetPhase(key, []string{"c", "esterel"})
 	if !ok {
 		t.Fatal("fresh client missed an uploaded entry")
 	}
-	if got.Module != entry.Module {
-		t.Fatalf("module = %q, want %q", got.Module, entry.Module)
+	if got.Phase != cache.DesignPhase || got.Module != entry.Module {
+		t.Fatalf("entry = %s/%q, want %s/%q", got.Phase, got.Module, cache.DesignPhase, entry.Module)
 	}
-	for k, want := range entry.Artifacts {
-		if got.Artifacts[k] != want {
-			t.Fatalf("artifact %q = %q, want %q", k, got.Artifacts[k], want)
+	for k, want := range entry.Blobs {
+		if got.Blobs[k] != want {
+			t.Fatalf("blob %q = %q, want %q", k, got.Blobs[k], want)
 		}
 	}
 	if st := down.Stats(); st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("downloader stats = %+v, want 1 hit", st)
 	}
+	// The server stored the module with the manifest.
+	if got, ok := store.Get(key, []string{"c"}); !ok || got.Module != "abro" {
+		t.Fatalf("backing store root entry = %+v, %v", got, ok)
+	}
 
 	// A key the server never saw is a plain miss.
-	if _, ok := down.Get(key64("never"), []string{"c"}); ok {
+	if _, ok := down.GetPhase(key64("never"), []string{"c"}); ok {
 		t.Fatal("hit on an absent key")
 	}
-	// A wanted artifact the manifest lacks is a miss, not a partial hit.
-	if _, ok := down.Get(key, []string{"c", "vhdl"}); ok {
+	// A wanted blob the manifest lacks is a miss, not a partial hit.
+	if _, ok := down.GetPhase(key, []string{"c", "vhdl"}); ok {
 		t.Fatal("hit despite a missing wanted artifact")
 	}
 }
 
-// TestRoundTripPhaseEntry covers the v2 side: phase snapshots travel
-// the same protocol under their own schema subtree.
+// TestRoundTripPhaseEntry: phase snapshots travel the same protocol,
+// with no module on the wire.
 func TestRoundTripPhaseEntry(t *testing.T) {
 	srv, store := startServer(t)
 	key := key64("phase")
@@ -108,7 +119,7 @@ func TestRoundTripPhaseEntry(t *testing.T) {
 	if !ok {
 		t.Fatal("fresh client missed an uploaded phase entry")
 	}
-	if got.Phase != "efsm" || got.Blobs["efsm"] != entry.Blobs["efsm"] {
+	if got.Phase != "efsm" || got.Module != "" || got.Blobs["efsm"] != entry.Blobs["efsm"] {
 		t.Fatalf("phase entry = %+v, want %+v", got, entry)
 	}
 	// The server's backing store is an ordinary cache.Store: the entry
@@ -124,17 +135,16 @@ func TestRoundTripPhaseEntry(t *testing.T) {
 func TestUploadDedupesBlobs(t *testing.T) {
 	srv, store := startServer(t)
 	c := dialT(t, srv.URL)
-	shared := map[string]string{"c": "shared artifact body\n"}
-	c.Put(key64("k1"), &cache.Entry{Module: "m1", Artifacts: shared})
-	c.Put(key64("k2"), &cache.Entry{Module: "m2", Artifacts: shared})
+	c.PutPhase(key64("k1"), designEntry("m1", "shared artifact body\n"))
+	c.PutPhase(key64("k2"), designEntry("m2", "shared artifact body\n"))
 	c.Flush()
 	if st := c.Stats(); st.Uploads != 2 {
 		t.Fatalf("uploads = %d, want 2", st.Uploads)
 	}
-	if _, ok := store.Get(key64("k1"), []string{"c"}); !ok {
+	if got, ok := store.Get(key64("k1"), []string{"c"}); !ok || got.Module != "m1" {
 		t.Fatal("k1 not on server")
 	}
-	if _, ok := store.Get(key64("k2"), []string{"c"}); !ok {
+	if got, ok := store.Get(key64("k2"), []string{"c"}); !ok || got.Module != "m2" {
 		t.Fatal("k2 not on server")
 	}
 }
@@ -144,7 +154,7 @@ func TestUploadDedupesBlobs(t *testing.T) {
 func TestServerRejectsLyingBlobPut(t *testing.T) {
 	srv, store := startServer(t)
 	hash := key64("claimed-content")
-	req, _ := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/v1/blobs/%s", srv.URL, hash), strings.NewReader("other content"))
+	req, _ := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/v2/blobs/%s", srv.URL, hash), strings.NewReader("other content"))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -153,24 +163,69 @@ func TestServerRejectsLyingBlobPut(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("lying blob PUT got %d, want 400", resp.StatusCode)
 	}
-	if store.HasBlob(cache.SchemaVersion, hash) {
+	if store.HasBlob(hash) {
 		t.Fatal("server stored a blob whose content does not match its hash")
 	}
 }
 
-// TestServerRejectsDanglingManifest: a manifest referencing a blob the
-// server does not hold must be refused.
-func TestServerRejectsDanglingManifest(t *testing.T) {
-	srv, _ := startServer(t)
-	body := fmt.Sprintf(`{"module":"m","artifacts":{"c":"%s"}}`, key64("not-uploaded"))
-	req, _ := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/v1/manifests/%s", srv.URL, key64("k")), strings.NewReader(body))
+// putManifest PUTs a raw manifest body and returns the status code.
+func putManifest(t *testing.T, url, body string) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPut, url, strings.NewReader(body))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("dangling manifest PUT got %d, want 400", resp.StatusCode)
+	return resp.StatusCode
+}
+
+// TestServerRejectsDanglingManifest: a manifest referencing a blob the
+// server does not hold must be refused, and so must a design manifest
+// without its module.
+func TestServerRejectsDanglingManifest(t *testing.T) {
+	srv, store := startServer(t)
+	url := fmt.Sprintf("%s/v2/manifests/%s", srv.URL, key64("k"))
+	body := fmt.Sprintf(`{"phase":"design","module":"m","blobs":{"c":"%s"}}`, key64("not-uploaded"))
+	if code := putManifest(t, url, body); code != http.StatusBadRequest {
+		t.Fatalf("dangling manifest PUT got %d, want 400", code)
+	}
+	hash, err := store.WriteBlob("uploaded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := putManifest(t, url, fmt.Sprintf(`{"phase":"design","blobs":{"c":"%s"}}`, hash)); code != http.StatusBadRequest {
+		t.Fatalf("module-less design manifest PUT got %d, want 400", code)
+	}
+	if code := putManifest(t, url, fmt.Sprintf(`{"phase":"design","module":"m","blobs":{"c":"%s"}}`, hash)); code != http.StatusCreated {
+		t.Fatalf("complete design manifest PUT got %d, want 201", code)
+	}
+}
+
+// TestServerAnswersV1WithBadRequest: the whole-design v1 routes are
+// gone; every v1 request is a 400, which an older client reads as a
+// miss.
+func TestServerAnswersV1WithBadRequest(t *testing.T) {
+	srv, store := startServer(t)
+	hash, err := store.WriteBlob("content")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPut} {
+		for _, path := range []string{"/v1/blobs/" + hash, "/v1/manifests/" + key64("k")} {
+			if method == http.MethodHead && strings.Contains(path, "manifests") {
+				continue
+			}
+			req, _ := http.NewRequest(method, srv.URL+path, strings.NewReader(`{"module":"m","artifacts":{"c":"`+hash+`"}}`))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s got %d, want 400", method, path, resp.StatusCode)
+			}
+		}
 	}
 }
 
@@ -179,7 +234,7 @@ func TestServerRejectsDanglingManifest(t *testing.T) {
 func TestServerRejectsTraversalIDs(t *testing.T) {
 	srv, _ := startServer(t)
 	for _, path := range []string{
-		"/v1/blobs/..%2f..%2fetc", "/v1/manifests/..%2fx", "/v3/blobs/" + key64("x"), "/v1/blobs/UPPER",
+		"/v2/blobs/..%2f..%2fetc", "/v2/manifests/..%2fx", "/v3/blobs/" + key64("x"), "/v2/blobs/UPPER",
 	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -211,18 +266,19 @@ func faultClient(t *testing.T, h http.Handler) *Client {
 	return c
 }
 
-// assertMiss drives both read paths and fails on anything but a miss.
+// assertMiss drives the read path for a root and a phase entry and
+// fails on anything but a miss.
 func assertMiss(t *testing.T, c *Client, scenario string) {
 	t.Helper()
-	if e, ok := c.Get(key64("k"), []string{"c"}); ok {
-		t.Fatalf("%s: Get returned a hit: %+v", scenario, e)
+	if e, ok := c.GetPhase(key64("design"), []string{"c"}); ok {
+		t.Fatalf("%s: design GetPhase returned a hit: %+v", scenario, e)
 	}
 	if e, ok := c.GetPhase(key64("k"), []string{"efsm"}); ok {
 		t.Fatalf("%s: GetPhase returned a hit: %+v", scenario, e)
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.PhaseMisses != 1 {
-		t.Fatalf("%s: stats = %+v, want exactly one miss per tier", scenario, st)
+	if st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("%s: stats = %+v, want exactly two misses", scenario, st)
 	}
 }
 
@@ -234,11 +290,7 @@ func TestFaultCorruptBlobsReadAsMisses(t *testing.T) {
 	c := faultClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case strings.Contains(r.URL.Path, "/manifests/"):
-			if strings.HasPrefix(r.URL.Path, "/v1/") {
-				fmt.Fprintf(w, `{"module":"m","artifacts":{"c":"%s"}}`, goodHash)
-			} else {
-				fmt.Fprintf(w, `{"phase":"efsm","blobs":{"efsm":"%s"}}`, goodHash)
-			}
+			fmt.Fprintf(w, `{"phase":"design","module":"m","blobs":{"c":"%[1]s","efsm":"%[1]s"}}`, goodHash)
 		case strings.Contains(r.URL.Path, "/blobs/"):
 			fmt.Fprint(w, "CORRUPTED GARBAGE, NOT THE CONTENT")
 		}
@@ -288,8 +340,8 @@ func TestFaultDeadServerUploadsAreBestEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Put(key64("k"), &cache.Entry{Module: "m", Artifacts: map[string]string{"c": "x"}}); err != nil {
-		t.Fatalf("Put against a dead server must stay best-effort, got %v", err)
+	if err := c.PutPhase(key64("k"), designEntry("m", "x")); err != nil {
+		t.Fatalf("PutPhase against a dead server must stay best-effort, got %v", err)
 	}
 	c.Flush()
 	if st := c.Stats(); st.Uploads != 0 || st.Errors == 0 {
@@ -312,9 +364,9 @@ func TestStatszCountsProtocolTraffic(t *testing.T) {
 	srv, _ := startServer(t)
 	key := key64("traffic")
 	c := dialT(t, srv.URL)
-	c.Put(key, &cache.Entry{Module: "m", Artifacts: map[string]string{"c": "body"}})
+	c.PutPhase(key, designEntry("m", "body"))
 	c.Flush()
-	if _, ok := c.Get(key, []string{"c"}); !ok {
+	if _, ok := c.GetPhase(key, []string{"c"}); !ok {
 		t.Fatal("round trip failed")
 	}
 

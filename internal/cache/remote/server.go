@@ -24,7 +24,7 @@ type Server struct {
 	mux   *http.ServeMux
 
 	// Protocol-level traffic counters: the handlers read the store
-	// through its raw accessors, which bypass Store.Get/GetPhase's own
+	// through its raw accessors, which bypass Store.GetPhase's own
 	// hit/miss counting, so the server keeps the fleet-facing tallies
 	// itself.
 	manifestGets, manifestHits atomic.Int64
@@ -68,18 +68,11 @@ func NewServer(store *cache.Store) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// version parses the {version} path segment ("v1"/"v2") into a store
-// schema version; 0 means unknown.
-func version(r *http.Request) int {
-	seg := r.PathValue("version")
-	if len(seg) < 2 || seg[0] != 'v' {
-		return 0
-	}
-	n, err := strconv.Atoi(seg[1:])
-	if err != nil || (n != cache.SchemaVersion && n != cache.PhaseSchemaVersion) {
-		return 0
-	}
-	return n
+// version reports whether the {version} path segment names the
+// store's schema ("v2"); every other version, v1 included, is a bad
+// request.
+func version(r *http.Request) bool {
+	return r.PathValue("version") == "v"+strconv.Itoa(cache.PhaseSchemaVersion)
 }
 
 // validID accepts the hex content hashes and build keys the compiler
@@ -97,24 +90,23 @@ func validID(id string) bool {
 	return true
 }
 
-// blobArgs validates the shared blob-route inputs, writing the error
-// response itself when they are bad.
-func blobArgs(w http.ResponseWriter, r *http.Request) (v int, hash string, ok bool) {
-	v = version(r)
-	hash = r.PathValue("hash")
-	if v == 0 || !validID(hash) {
-		http.Error(w, "bad schema version or blob hash", http.StatusBadRequest)
-		return 0, "", false
+// pathID validates a route's schema version and its {hash} or {key}
+// segment, writing the error response itself when they are bad.
+func pathID(w http.ResponseWriter, r *http.Request, name string) (id string, ok bool) {
+	id = r.PathValue(name)
+	if !version(r) || !validID(id) {
+		http.Error(w, "bad schema version or "+name, http.StatusBadRequest)
+		return "", false
 	}
-	return v, hash, true
+	return id, true
 }
 
 func (s *Server) blobHead(w http.ResponseWriter, r *http.Request) {
-	v, hash, ok := blobArgs(w, r)
+	hash, ok := pathID(w, r, "hash")
 	if !ok {
 		return
 	}
-	if !s.store.HasBlob(v, hash) {
+	if !s.store.HasBlob(hash) {
 		http.Error(w, "no such blob", http.StatusNotFound)
 		return
 	}
@@ -122,12 +114,12 @@ func (s *Server) blobHead(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) blobGet(w http.ResponseWriter, r *http.Request) {
-	v, hash, ok := blobArgs(w, r)
+	hash, ok := pathID(w, r, "hash")
 	if !ok {
 		return
 	}
 	s.blobGets.Add(1)
-	text, ok := s.store.ReadBlob(v, hash)
+	text, ok := s.store.ReadBlob(hash)
 	if !ok {
 		http.Error(w, "no such blob", http.StatusNotFound)
 		return
@@ -138,7 +130,7 @@ func (s *Server) blobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) blobPut(w http.ResponseWriter, r *http.Request) {
-	v, hash, ok := blobArgs(w, r)
+	hash, ok := pathID(w, r, "hash")
 	if !ok {
 		return
 	}
@@ -154,7 +146,7 @@ func (s *Server) blobPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "body does not hash to the requested name", http.StatusBadRequest)
 		return
 	}
-	if _, err := s.store.WriteBlob(v, string(body)); err != nil {
+	if _, err := s.store.WriteBlob(string(body)); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -163,39 +155,23 @@ func (s *Server) blobPut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) manifestGet(w http.ResponseWriter, r *http.Request) {
-	v := version(r)
-	key := r.PathValue("key")
-	if v == 0 || !validID(key) {
-		http.Error(w, "bad schema version or key", http.StatusBadRequest)
+	key, ok := pathID(w, r, "key")
+	if !ok {
 		return
 	}
 	s.manifestGets.Add(1)
-	var m wireManifest
-	switch v {
-	case cache.SchemaVersion:
-		module, artifacts, ok := s.store.Manifest(key)
-		if !ok {
-			http.Error(w, "no such manifest", http.StatusNotFound)
-			return
-		}
-		m = wireManifest{Module: module, Artifacts: artifacts}
-	case cache.PhaseSchemaVersion:
-		phase, blobs, ok := s.store.PhaseManifest(key)
-		if !ok {
-			http.Error(w, "no such manifest", http.StatusNotFound)
-			return
-		}
-		m = wireManifest{Phase: phase, Blobs: blobs}
+	phase, module, blobs, ok := s.store.PhaseManifest(key)
+	if !ok {
+		http.Error(w, "no such manifest", http.StatusNotFound)
+		return
 	}
 	s.manifestHits.Add(1)
-	httpjson.Write(w, http.StatusOK, m)
+	httpjson.Write(w, http.StatusOK, wireManifest{Phase: phase, Module: module, Blobs: blobs})
 }
 
 func (s *Server) manifestPut(w http.ResponseWriter, r *http.Request) {
-	v := version(r)
-	key := r.PathValue("key")
-	if v == 0 || !validID(key) {
-		http.Error(w, "bad schema version or key", http.StatusBadRequest)
+	key, ok := pathID(w, r, "key")
+	if !ok {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBytes))
@@ -208,33 +184,24 @@ func (s *Server) manifestPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad manifest JSON", http.StatusBadRequest)
 		return
 	}
-	owner, hashes := m.Module, m.Artifacts
-	if v == cache.PhaseSchemaVersion {
-		owner, hashes = m.Phase, m.Blobs
-	}
-	if owner == "" || len(hashes) == 0 {
-		http.Error(w, "empty manifest", http.StatusBadRequest)
+	if !cache.ValidManifest(m.Phase, m.Module, len(m.Blobs)) {
+		http.Error(w, "incomplete manifest", http.StatusBadRequest)
 		return
 	}
 	// A manifest may only reference blobs the server already holds —
 	// clients upload blobs first — so no reader can ever chase a
 	// dangling hash.
-	for name, hash := range hashes {
+	for name, hash := range m.Blobs {
 		if !validID(hash) {
 			http.Error(w, fmt.Sprintf("bad blob hash for %q", name), http.StatusBadRequest)
 			return
 		}
-		if !s.store.HasBlob(v, hash) {
+		if !s.store.HasBlob(hash) {
 			http.Error(w, fmt.Sprintf("blob %s for %q not uploaded", hash, name), http.StatusBadRequest)
 			return
 		}
 	}
-	if v == cache.SchemaVersion {
-		err = s.store.MergeManifest(key, owner, hashes)
-	} else {
-		err = s.store.PutPhaseManifest(key, owner, hashes)
-	}
-	if err != nil {
+	if err := s.store.PutPhaseManifest(key, m.Phase, m.Module, m.Blobs); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

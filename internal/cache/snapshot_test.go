@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestSnapshotRoundTrip files a session snapshot in the v2 subtree and
+// TestSnapshotRoundTrip files a session snapshot in the store and
 // reads it back under its content-derived key; a corrupted blob must
 // come back as a miss (and be repaired), never as bad bytes.
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -47,7 +47,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Corrupt the stored blob on disk: the hash-verified read must
 	// report a miss.
 	hash := hex.EncodeToString(sum[:])
-	path := s.blobPathIn(s.v2, hash)
+	path := s.blobPath(hash)
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@
 package compile
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ast"
@@ -174,18 +175,25 @@ func (c *compiler) decideInput(sig *kernel.Signal) interp.Status {
 
 // constEnv lets dataexec evaluate expressions against the per-run
 // constant store; anything unknown fails the evaluation, which the
-// compiler treats as "not constant".
+// compiler treats as "not constant". The failures are sentinels: every
+// EFSM synthesis tries many non-constant reads, and tryConst discards
+// the error.
 type constEnv struct{ c *compiler }
+
+var (
+	errVarNotConst   = errors.New("variable not constant here")
+	errSignalUnknown = errors.New("signal value unknown at compile time")
+)
 
 func (e constEnv) VarValue(v *kernel.Var) (cval.Value, error) {
 	if val, ok := e.c.consts[v]; ok {
 		return val, nil
 	}
-	return cval.Value{}, fmt.Errorf("variable %s not constant here", v.Name)
+	return cval.Value{}, errVarNotConst
 }
 
-func (e constEnv) SignalValue(s *kernel.Signal) (cval.Value, error) {
-	return cval.Value{}, fmt.Errorf("signal %s value unknown at compile time", s.Name)
+func (e constEnv) SignalValue(*kernel.Signal) (cval.Value, error) {
+	return cval.Value{}, errSignalUnknown
 }
 
 type symHooks struct{ c *compiler }

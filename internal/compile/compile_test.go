@@ -388,3 +388,23 @@ func TestPolicyChangesShapeNotBehavior(t *testing.T) {
 			stMax.DataBranches, stMin.DataBranches)
 	}
 }
+
+// TestConstEnvMissAllocatesNothing: symbolic evaluation tries a
+// constant read for every data guard and assignment of every EFSM
+// synthesis, and most reads miss; a miss must not build an error value
+// nothing reads.
+func TestConstEnvMissAllocatesNothing(t *testing.T) {
+	env := constEnv{&compiler{consts: map[*kernel.Var]cval.Value{}}}
+	v := &kernel.Var{Name: "acc"}
+	s := &kernel.Signal{Name: "req"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := env.VarValue(v); err == nil {
+			t.Fatal("non-constant variable read as constant")
+		}
+		if _, err := env.SignalValue(s); err == nil {
+			t.Fatal("signal value read at compile time")
+		}
+	}); allocs != 0 {
+		t.Errorf("a non-constant read allocates %.0f times, want 0", allocs)
+	}
+}

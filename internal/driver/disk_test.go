@@ -80,9 +80,10 @@ func TestDiskCacheServesSecondProcess(t *testing.T) {
 // snapshot only where a later build reads it back. examples/incremental.ecl
 // is built, then its data-function edit (acc + 2 -> acc + 7), then the
 // edit again unchanged, each by ExpandModules and Build with a fresh
-// driver and store handle, like separate eclc -all runs. The store then holds no parse or lower entries,
-// the edit build puts exactly the emit phases it rebuilt, and the
-// unchanged rebuild puts nothing.
+// driver and store handle, like separate eclc -all runs. The store then
+// holds no parse or lower entries, the edit build puts exactly the emit
+// phases it rebuilt and one root entry per module, and the unchanged
+// rebuild, served by those root entries, puts nothing.
 func TestDiskCacheStoresOnlyReadSnapshots(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "incremental.ecl"))
 	if err != nil {
@@ -93,7 +94,7 @@ func TestDiskCacheStoresOnlyReadSnapshots(t *testing.T) {
 		t.Fatal("examples/incremental.ecl has no acc + 2 to edit")
 	}
 	dir := t.TempDir()
-	build := func(source string) (*Driver, cache.Stats) {
+	build := func(source string) (*Driver, cache.Stats, int64) {
 		t.Helper()
 		d := diskDriver(t, dir)
 		reqs, err := d.ExpandModules(Request{Path: "incremental.ecl", Source: source,
@@ -104,21 +105,21 @@ func TestDiskCacheStoresOnlyReadSnapshots(t *testing.T) {
 		if _, err := d.Build(context.Background(), reqs); err != nil {
 			t.Fatal(err)
 		}
-		return d, d.Disk.Stats()
+		return d, d.Disk.Stats(), int64(len(reqs))
 	}
 
 	build(string(src))
-	d, st := build(edited)
+	d, st, modules := build(edited)
 	var emitRebuilds int64
 	for ph, c := range d.CacheStats().Phases {
 		if pipeline.TargetName(ph) != "" {
 			emitRebuilds += c.Rebuilds
 		}
 	}
-	if emitRebuilds == 0 || st.PhasePuts != emitRebuilds {
-		t.Errorf("edit build put %d phase snapshots for %d emit rebuilds; want one each", st.PhasePuts, emitRebuilds)
+	if emitRebuilds == 0 || st.PhasePuts != emitRebuilds+modules {
+		t.Errorf("edit build put %d phase snapshots for %d emit rebuilds and %d modules; want one each", st.PhasePuts, emitRebuilds, modules)
 	}
-	d, st = build(edited)
+	d, st, _ = build(edited)
 	if st.PhasePuts != 0 {
 		t.Errorf("unchanged rebuild put %d phase snapshots, want 0", st.PhasePuts)
 	}

@@ -2,13 +2,13 @@ package driver
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/lower"
 	"repro/internal/paperex"
 	"repro/internal/pipeline"
 )
@@ -166,42 +166,6 @@ func TestCacheIsPathAware(t *testing.T) {
 	}
 	if got := b.Diags[0].Pos; !strings.HasPrefix(got, "b.ecl:") {
 		t.Errorf("b.ecl diagnostic position %q", got)
-	}
-}
-
-// TestCacheKeyFields pins the design key's fields beyond the parse
-// key: a different module, policy, minimize setting or compile budget
-// must each key a different entry, and equal content under a distinct
-// string the same one.
-func TestCacheKeyFields(t *testing.T) {
-	src := paperex.Stack
-	opts := core.Options{Defines: map[string]string{"N": "1"}}
-	base := cacheKey("stack.ecl", src, "toplevel", opts)
-	if got := cacheKey("stack.ecl", strings.Clone(src), "toplevel", opts); got != base {
-		t.Errorf("equal source in a distinct string keyed %s, want %s", got, base)
-	}
-	with := func(f func(*core.Options)) core.Options {
-		o := opts
-		f(&o)
-		return o
-	}
-	variants := map[string]string{
-		"path":      cacheKey("other.ecl", src, "toplevel", opts),
-		"source":    cacheKey("stack.ecl", src+"\n", "toplevel", opts),
-		"define":    cacheKey("stack.ecl", src, "toplevel", core.Options{Defines: map[string]string{"N": "2"}}),
-		"module":    cacheKey("stack.ecl", src, "checkcrc", opts),
-		"policy":    cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Policy = lower.MinimalReactive })),
-		"minimize":  cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Minimize = true })),
-		"states":    cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Compile.MaxStates = 7 })),
-		"runs":      cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Compile.MaxRunsPerState = 7 })),
-		"decisions": cacheKey("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Compile.MaxDecisionsPerRun = 7 })),
-	}
-	seen := map[string]string{base: "base"}
-	for what, key := range variants {
-		if prev, dup := seen[key]; dup {
-			t.Errorf("changing the %s keys the same as %s", what, prev)
-		}
-		seen[key] = what
 	}
 }
 
@@ -413,16 +377,17 @@ func TestDriverAnalyze(t *testing.T) {
 		t.Errorf("analyze = %s, want rebuilt", st)
 	}
 
-	// Identical request on the same driver: the design entry is
-	// memoized and so are its findings.
+	// Identical request on the same driver: it walks (findings are
+	// not in the root entry), and the analyze phase replays its
+	// findings from memory.
 	again := d.BuildOne(req)
-	if !again.Cached || len(again.Findings) != 1 {
-		t.Errorf("memoized = (cached=%t, %+v), want cached with findings", again.Cached, again.Findings)
+	if st := analyzeStatus(t, &again); st != pipeline.StatusMemHit || len(again.Findings) != 1 {
+		t.Errorf("repeat = (analyze %s, %+v), want a mem-hit with the finding", st, again.Findings)
 	}
 }
 
 // TestDriverAnalyzeSkipsDesignTier: an analyze request must walk the
-// phase graph even when the v1 design cache could serve the artifacts,
+// phase graph even when the root entry could serve the artifacts,
 // so warm runs report the analyze phase's own disk-hit.
 func TestDriverAnalyzeSkipsDesignTier(t *testing.T) {
 	dir := t.TempDir()
@@ -458,23 +423,32 @@ func TestDriverAnalyzeSkipsDesignTier(t *testing.T) {
 	}
 }
 
-// TestDriverAnalyzeLazyOnMemoizedEntry: a design compiled by an
-// analyze-less request still serves a later analyze request (the rules
-// run over the memoized design on demand).
-func TestDriverAnalyzeLazyOnMemoizedEntry(t *testing.T) {
+// TestDriverAnalyzeWalksPastRootEntry: an analyze request for a design
+// whose root entry a plain request just stored walks the graph instead
+// — the root holds no findings — with every machine and emit phase a
+// memory hit, and reports the findings an uncached analysis does.
+func TestDriverAnalyzeWalksPastRootEntry(t *testing.T) {
 	d := New(1)
-	plain := d.BuildOne(Request{Path: "vet.ecl", Source: vetSource})
+	req := Request{Path: "vet.ecl", Source: vetSource, Targets: []Target{TargetC}}
+	plain := d.BuildOne(req)
 	if plain.Failed() || plain.Findings != nil {
 		t.Fatalf("plain = (%v, %+v), want success with nil findings", plain.Err, plain.Findings)
 	}
-	vet := d.BuildOne(Request{Path: "vet.ecl", Source: vetSource, Analyze: true})
-	if vet.Failed() {
-		t.Fatalf("vet: %v", vet.Err)
+	req.Analyze = true
+	vet := d.BuildOne(req)
+	if vet.Failed() || vet.Cached {
+		t.Fatalf("vet = (%v, cached=%t), want a walk", vet.Err, vet.Cached)
 	}
-	if len(vet.Findings) != 1 || vet.Findings[0].Rule != "ECL001" {
-		t.Errorf("lazy findings = %+v, want one ECL001", vet.Findings)
+	for _, ph := range []pipeline.Phase{pipeline.PhaseEFSM, pipeline.PhaseEmitC} {
+		if st := phaseStatus(t, &vet, ph); st != pipeline.StatusMemHit {
+			t.Errorf("vet %s = %s, want mem-hit", ph, st)
+		}
 	}
 	if st := analyzeStatus(t, &vet); st != pipeline.StatusRebuilt {
-		t.Errorf("lazy analyze = %s, want rebuilt", st)
+		t.Errorf("vet analyze = %s, want rebuilt", st)
+	}
+	pure := (&Driver{NoCache: true}).BuildOne(req)
+	if pure.Failed() || !slices.Equal(vet.Findings, pure.Findings) || len(vet.Findings) != 1 {
+		t.Errorf("findings = %+v, want %+v (one ECL001)", vet.Findings, pure.Findings)
 	}
 }

@@ -1,14 +1,20 @@
 package driver
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/eclgen"
 	"repro/internal/pipeline"
 )
 
@@ -77,8 +83,8 @@ func TestIncrementalDataEditReplaysEFSM(t *testing.T) {
 		t.Fatalf("cold efsm = %s, want rebuilt", st)
 	}
 
-	// New process, data-edited source: the design key misses both
-	// design tiers, but the efsm phase replays from the v2 store.
+	// New process, data-edited source: the root key misses, but the
+	// efsm phase replays from the phase store.
 	warm := diskDriver(t, dir)
 	res := warm.BuildOne(Request{Path: "inc.ecl", Source: incSource(5), Targets: targets})
 	if res.Failed() {
@@ -119,9 +125,9 @@ func TestIncrementalDataEditReplaysEFSM(t *testing.T) {
 	}
 }
 
-// TestDesignCacheReportsPseudoPhase: requests served whole from the
-// design tiers carry the "design" pseudo-phase instead of a fake
-// per-phase table.
+// TestDesignCacheReportsPseudoPhase: requests served whole by the root
+// entry carry the one "design" phase instead of a fake per-phase
+// table.
 func TestDesignCacheReportsPseudoPhase(t *testing.T) {
 	dir := t.TempDir()
 	req := Request{Path: "inc.ecl", Source: incSource(3), Targets: []Target{TargetC}}
@@ -131,7 +137,7 @@ func TestDesignCacheReportsPseudoPhase(t *testing.T) {
 	warm := diskDriver(t, dir)
 	res := warm.BuildOne(req)
 	if !res.DiskCached {
-		t.Fatal("expected v1 disk replay")
+		t.Fatal("expected a root disk hit")
 	}
 	if len(res.Phases) != 1 || res.Phases[0].Phase != pipeline.PhaseDesign ||
 		res.Phases[0].Status != pipeline.StatusDiskHit {
@@ -191,29 +197,161 @@ func TestExpandModulesStructuredDiagnostics(t *testing.T) {
 	}
 }
 
-// TestIncrementalKeepsV1Warm: the pipeline's v2 writes must not break
-// the v1 whole-design fast path — an unchanged rebuild in a new
-// process is still a pure v1 artifact replay that runs no phase.
-func TestIncrementalKeepsV1Warm(t *testing.T) {
+// TestUnchangedRebuildIsOneRootHit: an unchanged rebuild in a new
+// process is one root disk hit per module — one design phase in
+// Result.Phases, one phase hit in the store's counters and no other
+// read — with the cold build's artifacts. The cold build's root entries
+// reference the emit phases' blobs and add none of their own.
+func TestUnchangedRebuildIsOneRootHit(t *testing.T) {
 	dir := t.TempDir()
-	req := Request{Path: "inc.ecl", Source: incSource(3), Targets: []Target{TargetC, TargetStats}}
-	if res := diskDriver(t, dir).BuildOne(req); res.Failed() {
-		t.Fatal(res.Err)
+	src := eclgen.File(5, 8)
+	build := func() (*Driver, []Result) {
+		t.Helper()
+		d := diskDriver(t, dir)
+		reqs, err := d.ExpandModules(Request{Path: "mega.ecl", Source: src,
+			Targets: []Target{TargetEsterel, TargetC, TargetGlue, TargetStats}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Build(context.Background(), reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, res
 	}
-	store, err := cache.Open(dir)
+	_, cold := build()
+	n := int64(len(cold))
+
+	roots, refs := 0, map[string]bool{}
+	for _, m := range readManifests(t, dir) {
+		if m.Phase == cache.DesignPhase {
+			roots++
+			continue
+		}
+		for _, h := range m.Blobs {
+			refs[h] = true
+		}
+	}
+	blobs, err := filepath.Glob(filepath.Join(dir, "v2", "blobs", "*", "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &Driver{Disk: store}
+	if roots != len(cold) || len(blobs) != len(refs) {
+		t.Errorf("cold build stored %d root entries for %d modules and %d blobs for %d phase-referenced hashes",
+			roots, len(cold), len(blobs), len(refs))
+	}
+
+	d, warm := build()
+	for i := range warm {
+		r := &warm[i]
+		if !r.DiskCached || len(r.Phases) != 1 || r.Phases[0].Phase != pipeline.PhaseDesign || r.Phases[0].Status != pipeline.StatusDiskHit {
+			t.Fatalf("%s: diskCached=%t phases %+v, want one design disk hit", r.Module, r.DiskCached, r.Phases)
+		}
+		if r.Module != cold[i].Module || !maps.Equal(r.Artifacts, cold[i].Artifacts) || *r.Stats != *cold[i].Stats {
+			t.Errorf("%s: root entry differs from the cold build", r.Module)
+		}
+	}
+	if cs := d.CacheStats(); cs.DiskHits != n || cs.DiskMisses != 0 || cs.Misses != 0 {
+		t.Errorf("driver stats %+v, want %d root disk hits and no walk", cs, n)
+	}
+	if st := d.Disk.Stats(); st.PhaseHits != n || st.PhaseMisses != 0 || st.Hits+st.Misses != 0 || st.PhasePuts != 0 {
+		t.Errorf("store stats %+v, want %d phase hits and nothing else", st, n)
+	}
+}
+
+// manifestFile is the part of a stored manifest the tests read.
+type manifestFile struct {
+	Phase  string
+	Module string
+	Blobs  map[string]string
+}
+
+// readManifests decodes every manifest of the store at dir.
+func readManifests(t *testing.T, dir string) []manifestFile {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "v2", "manifests", "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []manifestFile
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m manifestFile
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestLegacyV1StoreIsIgnoredAndSwept: a store written by an older build
+// holds its whole-design entries in a v1/ subtree and no root entries.
+// A build over it gets a cold root — the v1 manifest, though keyed and
+// shaped as the older build wrote it, is never read — while its phase
+// entries still hit; Size leaves v1/ out, and GC removes it whole.
+func TestLegacyV1StoreIsIgnoredAndSwept(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{Path: "inc.ecl", Source: incSource(3), Targets: []Target{TargetC}}
+	cold := diskDriver(t, dir).BuildOne(req)
+	if cold.Failed() {
+		t.Fatal(cold.Err)
+	}
+	// Back to the older layout: drop the root entry, add the v1 one.
+	root := pipeline.KeyDesign(pipeline.KeyParse(req.Path, req.Source, req.Options), req.Module, req.Options, emitPhases(req.Targets), req.GoPackage)
+	if err := os.Remove(filepath.Join(dir, "v2", "manifests", root[:2], root+".json")); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "gen:%d", 2)
+	for _, part := range []string{pipeline.KeyParse(req.Path, req.Source, req.Options), req.Module, "pol:0:min:false", "cmp:0:0:0"} {
+		fmt.Fprintf(h, "\x00%d:%s", len(part), part)
+	}
+	v1Key := hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256([]byte(cold.Artifacts[TargetC]))
+	blob := hex.EncodeToString(sum[:])
+	manifest := fmt.Sprintf(`{"version":1,"key":%q,"module":"incworker","artifacts":{"c":%q}}`, v1Key, blob)
+	for path, data := range map[string]string{
+		filepath.Join(dir, "v1", "manifests", v1Key[:2], v1Key+".json"): manifest,
+		filepath.Join(dir, "v1", "blobs", blob[:2], blob):               cold.Artifacts[TargetC],
+	} {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d := diskDriver(t, dir)
+	_, before, err := d.Disk.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := d.BuildOne(req)
-	if !res.DiskCached {
-		t.Fatal("unchanged rebuild not served by v1")
+	if res.Failed() || res.Cached {
+		t.Fatalf("build over the older store = (%v, cached=%t), want a walk", res.Err, res.Cached)
 	}
-	cs := d.CacheStats()
-	if len(cs.Phases) != 0 {
-		t.Errorf("v1 replay walked pipeline phases: %+v", cs.Phases)
+	if cs := d.CacheStats(); cs.DiskMisses != 1 || cs.DiskHits != 0 {
+		t.Errorf("root disk traffic %+v, want one miss", cs)
 	}
-	if st := store.Stats(); st.PhaseHits+st.PhaseMisses != 0 {
-		t.Errorf("v1 replay touched the v2 subtree: %+v", st)
+	if st := phaseStatus(t, &res, pipeline.PhaseEFSM); st != pipeline.StatusDiskHit {
+		t.Errorf("efsm = %s, want disk-hit", st)
+	}
+	if res.Artifacts[TargetC] != cold.Artifacts[TargetC] {
+		t.Error("artifact differs from the cold build")
+	}
+	if _, after, err := d.Disk.Size(); err != nil || after != before+1 {
+		t.Errorf("Size counts %d entries after storing one root entry over %d (%v); v1/ must not count", after, before, err)
+	}
+	want := int64(len(manifest) + len(cold.Artifacts[TargetC]))
+	if gc, err := d.Disk.GC(0, 0); err != nil || gc.FreedBytes != want {
+		t.Fatalf("GC freed %d bytes (%v), want the v1 subtree's %d", gc.FreedBytes, err, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "v1")); !os.IsNotExist(err) {
+		t.Errorf("v1/ survived GC (stat: %v)", err)
 	}
 }

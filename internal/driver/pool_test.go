@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,5 +73,51 @@ func TestBuildPool(t *testing.T) {
 			t.Fatalf("%d Build workers still running after Build returned", buildWorkers())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRootSingleFlight: 16 goroutines build the same request on a fresh
+// driver at once. One walks; the others wait for it and are served by
+// the root entry it stored, every result carrying the same Design. A
+// request whose walk fails (here EFSM synthesis past MaxStates) is
+// single-flighted too: the followers, and a later identical request,
+// get the walk's diagnostics from memory. Run it under -race.
+func TestRootSingleFlight(t *testing.T) {
+	ok := Request{Path: "stack.ecl", Source: paperex.Stack, Module: "toplevel", Targets: []Target{TargetC}}
+	failing := ok
+	failing.Options.Compile.MaxStates = 1
+	for _, req := range []Request{ok, failing} {
+		d := New(0)
+		results := make([]Result, 16)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				results[i] = d.BuildOne(req)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		results = append(results, d.BuildOne(req))
+		if cs := d.CacheStats(); cs.Misses != 1 || cs.Hits != int64(len(results)-1) {
+			t.Errorf("MaxStates %d: %d walks and %d root hits, want 1 and %d", req.Options.Compile.MaxStates, cs.Misses, cs.Hits, len(results)-1)
+		}
+		first := results[0]
+		for i, r := range results {
+			if r.Failed() != first.Failed() || r.Design != first.Design || r.Artifacts[TargetC] != first.Artifacts[TargetC] ||
+				fmt.Sprint(r.Diags) != fmt.Sprint(first.Diags) {
+				t.Errorf("MaxStates %d, result %d: err=%v design=%p, want err=%v design %p",
+					req.Options.Compile.MaxStates, i, r.Err, r.Design, first.Err, first.Design)
+			}
+		}
+		if req.Options.Compile.MaxStates == 0 && (first.Failed() || first.Design == nil) {
+			t.Errorf("err=%v design=%p, want a design", first.Err, first.Design)
+		}
+		if req.Options.Compile.MaxStates != 0 && (!first.Failed() || first.Diags[0].Phase != PhaseCompile) {
+			t.Errorf("diags %v, want a compile failure", first.Diags)
+		}
 	}
 }

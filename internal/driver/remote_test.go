@@ -198,3 +198,34 @@ func TestRemoteCacheRespectsNoCache(t *testing.T) {
 		t.Fatalf("NoCache build touched the remote tier: %+v", st)
 	}
 }
+
+// TestRemoteRootWriteThroughKeepsModule: a root remote hit on an empty
+// local store lands on disk with its module, so the next process on
+// the machine is a disk hit that resolves the same module — for a
+// request by module name and one under the last-module convention.
+func TestRemoteRootWriteThroughKeepsModule(t *testing.T) {
+	url := startRemote(t)
+	for _, module := range []string{"recordctl", ""} {
+		req := Request{Path: "buffer.ecl", Source: paperex.Buffer, Module: module, Targets: []Target{TargetC}}
+		dA := remoteDriver(t, url)
+		cold := dA.BuildOne(req)
+		if cold.Failed() {
+			t.Fatal(cold.Err)
+		}
+		dA.Remote.Flush()
+
+		dB := remoteDriver(t, url)
+		viaRemote := dB.BuildOne(req)
+		if !viaRemote.RemoteCached || viaRemote.Module != cold.Module {
+			t.Fatalf("module %q: remoteCached=%t module=%q, want a remote hit for %q", module, viaRemote.RemoteCached, viaRemote.Module, cold.Module)
+		}
+		viaDisk := (&Driver{Disk: dB.Disk}).BuildOne(req)
+		if !viaDisk.DiskCached || viaDisk.Module != cold.Module || viaDisk.Artifacts[TargetC] != cold.Artifacts[TargetC] {
+			t.Fatalf("module %q: diskCached=%t module=%q, want a disk hit for %q with the cold artifact",
+				module, viaDisk.DiskCached, viaDisk.Module, cold.Module)
+		}
+	}
+	if module := (&Driver{}).BuildOne(Request{Path: "buffer.ecl", Source: paperex.Buffer}).Module; module != "bufferctl" {
+		t.Fatalf("last module of buffer.ecl = %q, want bufferctl", module)
+	}
+}

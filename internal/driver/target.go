@@ -83,16 +83,6 @@ func (t Target) Filename(module string) string {
 	return ""
 }
 
-// emit renders one artifact from a compiled design (the lazy path for
-// targets requested after the design's pipeline walk already ran).
-func emit(d *core.Design, t Target, goPkg string) (string, error) {
-	ph, ok := pipeline.EmitPhase(string(t))
-	if !ok {
-		return "", fmt.Errorf("unknown target %q", t)
-	}
-	return pipeline.Emit(d, ph, goPkg)
-}
-
 // FormatStats renders the design's size metrics in eclc's console
 // layout.
 func FormatStats(d *core.Design) string { return pipeline.FormatStats(d) }

@@ -15,9 +15,9 @@ import (
 )
 
 // keyGeneration versions the whole phase-key scheme; bumping it (or
-// snapCodecVersion, which every key folds in) turns all v2 entries,
-// and the v1 design entries keyed through KeyParse, into misses after
-// an incompatible change. Generation 2: C switch dispatch (parse,
+// snapCodecVersion, which every key folds in) turns every stored
+// entry, root entries included, into a miss after an incompatible
+// change. Generation 2: C switch dispatch (parse,
 // lowering, emitted Go) and priced instructions in table listings.
 // Generation 3: generated C spells bool as _Bool, emits ~ on a bool as
 // !, and reads a byte array's own size in the Figure 2 idiom; the glue
@@ -193,6 +193,28 @@ func KeyEmit(phase Phase, machineKey, dataFP, goPkg string) string {
 		b = appendPart(b, goPkg)
 	}
 	return sumKey(b)
+}
+
+// KeyDesign fingerprints a whole request for the pipeline's root entry:
+// the parse key (source, path, preprocessor configuration), the
+// requested module ("" keys the last-module convention itself, not the
+// module it resolves to), the splitter policy, minimization, the
+// compile bounds, the emit phases in request order and the Go package.
+// Everything that determines a request's outputs is in the key, so an
+// entry is written once and never merged.
+func KeyDesign(parseKey, module string, opts core.Options, emits []Phase, goPkg string) string {
+	var buf [keyBufSize]byte
+	b := appendPart(appendPart(appendKeyHeader(buf[:0], PhaseDesign), parseKey), module)
+	b = strconv.AppendInt(append(b, "\x00pol:"...), int64(opts.Policy), 10)
+	b = strconv.AppendBool(append(b, ":min:"...), opts.Minimize)
+	b = strconv.AppendInt(append(b, "\x00cmp:"...), int64(opts.Compile.MaxStates), 10)
+	b = strconv.AppendInt(append(b, ':'), int64(opts.Compile.MaxRunsPerState), 10)
+	b = strconv.AppendInt(append(b, ':'), int64(opts.Compile.MaxDecisionsPerRun), 10)
+	b = strconv.AppendInt(append(b, "\x00emit:"...), int64(len(emits)), 10)
+	for _, ph := range emits {
+		b = appendPart(b, string(ph))
+	}
+	return sumKey(appendPart(b, goPkg))
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/lower"
+	"repro/internal/paperex"
 )
 
 // TestKeyParseContent pins what the parse key covers: equal content
@@ -106,5 +108,50 @@ func TestKeyParseMemoAlternating(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestKeyDesignFields pins what the root key covers: a change to the
+// path, the source, a define, the module, the policy, minimization,
+// each compile bound, the emit set or the Go package must each key a
+// different entry, and equal content under a distinct string the same
+// one.
+func TestKeyDesignFields(t *testing.T) {
+	src := paperex.Stack
+	opts := core.Options{Defines: map[string]string{"N": "1"}}
+	emits := []Phase{PhaseEmitEsterel, PhaseEmitC}
+	key := func(path, src, module string, opts core.Options, emits []Phase, goPkg string) string {
+		return KeyDesign(KeyParse(path, src, opts), module, opts, emits, goPkg)
+	}
+	base := key("stack.ecl", src, "toplevel", opts, emits, "")
+	if got := key("stack.ecl", strings.Clone(src), "toplevel", opts, emits, ""); got != base {
+		t.Errorf("equal source in a distinct string keyed %s, want %s", got, base)
+	}
+	with := func(f func(*core.Options)) core.Options {
+		o := opts
+		f(&o)
+		return o
+	}
+	variants := map[string]string{
+		"path":      key("other.ecl", src, "toplevel", opts, emits, ""),
+		"source":    key("stack.ecl", src+"\n", "toplevel", opts, emits, ""),
+		"define":    key("stack.ecl", src, "toplevel", core.Options{Defines: map[string]string{"N": "2"}}, emits, ""),
+		"module":    key("stack.ecl", src, "checkcrc", opts, emits, ""),
+		"no module": key("stack.ecl", src, "", opts, emits, ""),
+		"policy":    key("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Policy = lower.MinimalReactive }), emits, ""),
+		"minimize":  key("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Minimize = true }), emits, ""),
+		"states":    key("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Compile.MaxStates = 7 }), emits, ""),
+		"runs":      key("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Compile.MaxRunsPerState = 7 }), emits, ""),
+		"decisions": key("stack.ecl", src, "toplevel", with(func(o *core.Options) { o.Compile.MaxDecisionsPerRun = 7 }), emits, ""),
+		"emit set":  key("stack.ecl", src, "toplevel", opts, []Phase{PhaseEmitEsterel, PhaseEmitC, PhaseEmitStats}, ""),
+		"no emits":  key("stack.ecl", src, "toplevel", opts, nil, ""),
+		"go pkg":    key("stack.ecl", src, "toplevel", opts, emits, "genpkg"),
+	}
+	seen := map[string]string{base: "base"}
+	for what, key := range variants {
+		if prev, dup := seen[key]; dup {
+			t.Errorf("changing the %s keys the same as %s", what, prev)
+		}
+		seen[key] = what
 	}
 }

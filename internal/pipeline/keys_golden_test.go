@@ -19,9 +19,12 @@ import (
 	"repro/internal/source"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/keys.golden from the current code")
+var update = flag.Bool("update", false, "rewrite testdata/keys.golden and testdata/design_keys.golden from the current code")
 
-const keysGolden = "testdata/keys.golden"
+const (
+	keysGolden       = "testdata/keys.golden"
+	designKeysGolden = "testdata/design_keys.golden"
+)
 
 // keyLine renders every content key the pipeline derives for one
 // module, its two fingerprints, and the digest of its lowered snapshot,
@@ -140,15 +143,54 @@ func TestKeysGolden(t *testing.T) {
 	mega := keyLines(t, "mega.ecl", eclgen.File(1, 300), core.Options{})
 	sum := sha256.Sum256([]byte(strings.Join(mega, "\n")))
 	lines = append(lines, fmt.Sprintf("eclgen.File(1,300) modules=%d sha256=%s", len(mega), hex.EncodeToString(sum[:])))
-	got := strings.Join(lines, "\n") + "\n"
+	checkGolden(t, keysGolden, lines)
+}
 
+// designKeyLines renders the root keys of every module of a source, one
+// line each: eclc's default emit set for the module by name, and the Go
+// target under a package name for the last-module convention.
+func designKeyLines(t *testing.T, path, src string, opts core.Options) []string {
+	t.Helper()
+	prog, err := core.Parse(path, src, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	parseKey := KeyParse(path, src, opts)
+	var out []string
+	for _, m := range prog.Modules() {
+		out = append(out, fmt.Sprintf("%s %s design=%s design-last/go=%s", path, m,
+			KeyDesign(parseKey, m, opts, []Phase{PhaseEmitEsterel, PhaseEmitC, PhaseEmitGlue, PhaseEmitStats}, ""),
+			KeyDesign(parseKey, "", opts, []Phase{PhaseEmitGo}, "genpkg")))
+	}
+	return out
+}
+
+// TestDesignKeysGolden pins the root key over keyCorpus the way
+// TestKeysGolden pins the phase keys: a change to it turns every stored
+// root entry cold.
+func TestDesignKeysGolden(t *testing.T) {
+	var lines []string
+	for _, f := range keyCorpus(t) {
+		lines = append(lines, designKeyLines(t, f.path, f.src, f.opts)...)
+	}
+	mega := designKeyLines(t, "mega.ecl", eclgen.File(1, 300), core.Options{})
+	sum := sha256.Sum256([]byte(strings.Join(mega, "\n")))
+	lines = append(lines, fmt.Sprintf("eclgen.File(1,300) modules=%d sha256=%s", len(mega), hex.EncodeToString(sum[:])))
+	checkGolden(t, designKeysGolden, lines)
+}
+
+// checkGolden compares lines against a golden file (or, with -update,
+// rewrites it), reporting the first line that differs.
+func checkGolden(t *testing.T, path string, lines []string) {
+	t.Helper()
+	got := strings.Join(lines, "\n") + "\n"
 	if *update {
-		if err := os.WriteFile(keysGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(keysGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
@@ -158,8 +200,8 @@ func TestKeysGolden(t *testing.T) {
 	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 		if gotLines[i] != wantLines[i] {
-			t.Fatalf("%s line %d differs:\n got: %s\nwant: %s", keysGolden, i+1, gotLines[i], wantLines[i])
+			t.Fatalf("%s line %d differs:\n got: %s\nwant: %s", path, i+1, gotLines[i], wantLines[i])
 		}
 	}
-	t.Fatalf("%s: %d lines, want %d", keysGolden, len(gotLines), len(wantLines))
+	t.Fatalf("%s: %d lines, want %d", path, len(gotLines), len(wantLines))
 }

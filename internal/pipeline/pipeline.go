@@ -26,18 +26,26 @@
 // part never pays for reactive synthesis again.
 //
 // A Runner consults its tiers per phase — a memory tier of decoded
-// outputs, the persistent store's v2 phase-keyed subtree
-// (internal/cache) and an optional remote tier — and records one
-// PhaseResult per phase walked, which the driver aggregates into
-// PhaseStats and eclc prints with -explain. Snapshots are encoded only
-// for the persistent tiers: a memory-only build encodes nothing, and
-// its keys and fingerprints are hashed from bytes appended directly,
-// without encoding/json or fmt.
+// outputs, the persistent phase store (internal/cache) and an optional
+// remote tier — and records one PhaseResult per phase walked, which
+// the driver aggregates into PhaseStats and eclc prints with -explain.
+// Snapshots are encoded only for the persistent tiers: a memory-only
+// build encodes nothing, and its keys and fingerprints are hashed from
+// bytes appended directly, without encoding/json or fmt.
+//
+// Above the graph sits its root entry (PhaseDesign), keyed on the
+// whole request (KeyDesign): the resolved module, the artifacts, the
+// stats and — when this process walked — the compiled Design. It is
+// served through the same tiers before the walk, so an unchanged
+// rebuild costs one key and one lookup; on disk it is an ordinary
+// phase manifest that records the module and references the emit
+// phases' own blobs.
 package pipeline
 
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -72,10 +80,9 @@ const (
 	PhaseEmitVHDL    Phase = "emit-vhdl"
 	PhaseEmitStats   Phase = "stats"
 
-	// PhaseDesign is the driver-level pseudo-phase reported when a
-	// request is served whole from the design cache (memory tier or v1
-	// disk manifests) without walking the graph.
-	PhaseDesign Phase = "design"
+	// PhaseDesign is the graph's root entry: a request served whole
+	// from it reports this one phase instead of the walk's.
+	PhaseDesign Phase = cache.DesignPhase
 )
 
 // AllPhases lists every phase in flow order (the stable order used by
@@ -151,15 +158,11 @@ const (
 	// StatusMemHit: served from the Runner's memory tier (a key it
 	// built or loaded before).
 	StatusMemHit Status = "mem-hit"
-	// StatusDiskHit: decoded from the persistent v2 phase store.
+	// StatusDiskHit: decoded from the persistent phase store.
 	StatusDiskHit Status = "disk-hit"
 	// StatusRemoteHit: fetched from the shared remote cache tier (and
 	// written through to the local tiers).
 	StatusRemoteHit Status = "remote-hit"
-	// StatusDesignHit: the whole request was served from the design-level
-	// cache (memory or v1 disk), so the phase was never consulted
-	// individually. Set by the driver, not the Runner.
-	StatusDesignHit Status = "design-hit"
 	// StatusShared: the phase's output was reused from the file-level
 	// compilation unit another request of the same batch already built
 	// (parse and sem run once per file; see unitFor).
@@ -175,12 +178,16 @@ type PhaseResult struct {
 	Key    string // full content key (hex); "" when never computed
 }
 
-// PhaseCounts aggregates one phase's traffic across requests.
+// PhaseCounts aggregates one phase's traffic across requests. For
+// PhaseDesign, Rebuilds counts walks of the graph.
 type PhaseCounts struct {
 	MemHits, DiskHits, RemoteHits, Rebuilds, Failures int64
 	// Shared counts requests served from another request's file-level
 	// compilation unit (front-end sharing; parse/sem only).
 	Shared int64
+	// DiskMisses and RemoteMisses count probes of the persistent tiers
+	// that missed.
+	DiskMisses, RemoteMisses int64
 }
 
 // PhaseStats maps each phase to its aggregated traffic.
@@ -200,11 +207,17 @@ type Request struct {
 	Analyze bool
 }
 
-// Result is one pipeline walk's outcome. Err/ErrPhase report a
-// front-end or machine failure (everything up to efsm-min); emission
-// failures are per-phase in EmitErrs so one failing back end does not
-// hide the others.
+// Result is one request's outcome. Err/ErrPhase report a front-end or
+// machine failure (everything up to efsm-min); emission failures are
+// per-phase in EmitErrs so one failing back end does not hide the
+// others. A request served by the root entry has a nil Design unless
+// this Runner walked for the entry; a memory hit on a failed walk
+// carries that walk's errors.
 type Result struct {
+	// Root reports how the root entry served the request
+	// (StatusMemHit, StatusDiskHit or StatusRemoteHit), or
+	// StatusRebuilt when the request walked the graph.
+	Root      Status
 	Module    string
 	Design    *core.Design
 	Artifacts map[Phase]string
@@ -224,12 +237,13 @@ type Result struct {
 }
 
 // Runner walks the phase graph with three tiers: memory, the
-// persistent store's v2 subtree, and an optional shared remote tier.
-// The memory tier holds each key's output decoded — the machine with
-// the lowering it is bound to, the findings, the artifact text and
-// stats — for every key this Runner built or loaded; a snapshot is
-// encoded only when a disk or remote tier is written. The zero value
-// caches in memory only; a Runner is safe for concurrent use.
+// persistent phase store, and an optional shared remote tier. The
+// memory tier holds each key's output decoded — the machine with the
+// lowering it is bound to, the findings, the artifact text and stats,
+// a root entry's module and artifacts — for every key this Runner
+// built or loaded; a snapshot is encoded only when a disk or remote
+// tier is written. The zero value caches in memory only; a Runner is
+// safe for concurrent use.
 type Runner struct {
 	// Disk is the persistent phase-snapshot tier (nil: memory only).
 	Disk *cache.Store
@@ -246,11 +260,12 @@ type Runner struct {
 	// tier); used to benchmark the per-module-front-end baseline.
 	NoShare bool
 
-	mu     sync.Mutex
-	mem    map[string]memEntry // phase key -> decoded output built or loaded here
-	stored map[string]bool     // phase keys a persistent tier holds (written or loaded here)
-	units  map[string]*unit    // parse key -> shared front end
-	stats  PhaseStats
+	mu      sync.Mutex
+	mem     map[string]memEntry   // phase key -> decoded output built or loaded here
+	stored  map[string]bool       // phase keys a persistent tier holds (written or loaded here)
+	units   map[string]*unit      // parse key -> shared front end
+	flights map[string]*sync.Once // root key -> its first resolution
+	stats   PhaseStats
 }
 
 // memEntry is one phase's output in the memory tier, held decoded:
@@ -267,10 +282,21 @@ type memEntry struct {
 	// analyze, analyze-file: the findings, never handed out (a hit
 	// returns a copy).
 	findings []analyze.Finding
-	// emit phases: the artifact text; for stats also the parsed
-	// core.Stats, never handed out (a hit returns a copy).
+	// emit phases: the artifact text; for stats (and a root entry
+	// with the stats phase) also the parsed core.Stats, never handed
+	// out (a hit returns a copy).
 	text  string
 	stats *core.Stats
+	// design (the root entry): the resolved module, the artifacts by
+	// emit phase (a hit returns a copy of the map) and, when this
+	// Runner walked for the entry, the compiled Design and the walk's
+	// failure, if any (err, errPhase, emitErrs; never persisted).
+	module    string
+	artifacts map[Phase]string
+	design    *core.Design
+	err       error
+	errPhase  Phase
+	emitErrs  map[Phase]error
 }
 
 // NewRunner returns a Runner over the given persistent store (nil for
@@ -289,27 +315,46 @@ func (r *Runner) Stats() PhaseStats {
 }
 
 func (r *Runner) count(ph Phase, st Status) {
+	r.tally(ph, func(c *PhaseCounts) {
+		switch st {
+		case StatusMemHit:
+			c.MemHits++
+		case StatusDiskHit:
+			c.DiskHits++
+		case StatusRemoteHit:
+			c.RemoteHits++
+		case StatusRebuilt:
+			c.Rebuilds++
+		case StatusShared:
+			c.Shared++
+		case StatusFailed:
+			c.Failures++
+		}
+	})
+}
+
+// tally applies f to phase ph's counters.
+func (r *Runner) tally(ph Phase, f func(*PhaseCounts)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.stats == nil {
 		r.stats = make(PhaseStats)
 	}
 	c := r.stats[ph]
-	switch st {
-	case StatusMemHit:
-		c.MemHits++
-	case StatusDiskHit:
-		c.DiskHits++
-	case StatusRemoteHit:
-		c.RemoteHits++
-	case StatusRebuilt:
-		c.Rebuilds++
-	case StatusShared:
-		c.Shared++
-	case StatusFailed:
-		c.Failures++
-	}
+	f(&c)
 	r.stats[ph] = c
+}
+
+// countMiss records a probe of the disk tier, or with remote set of
+// the remote tier, that missed.
+func (r *Runner) countMiss(ph Phase, remote bool) {
+	r.tally(ph, func(c *PhaseCounts) {
+		if remote {
+			c.RemoteMisses++
+		} else {
+			c.DiskMisses++
+		}
+	})
 }
 
 // memGet returns the output this Runner built or loaded for key.
@@ -350,43 +395,45 @@ func (r *Runner) persistent(key string) bool {
 	return !r.NoCache && key != "" && (r.Disk != nil || r.Remote != nil)
 }
 
-// fetch reads a phase snapshot from the persistent tiers: the v2 disk
-// subtree, then the shared remote tier, whose hits are written
+// fetch reads phase ph's entry for key from the persistent tiers: the
+// disk store, then the shared remote tier, whose hits are written
 // through to disk. ok=false is a miss. The caller decodes the blobs
 // and, if they decode, records the value with memPut(…, true).
-func (r *Runner) fetch(key string, want []string) (blobs map[string]string, st Status, ok bool) {
+func (r *Runner) fetch(ph Phase, key string, want []string) (e *cache.PhaseEntry, st Status, ok bool) {
 	if !r.persistent(key) {
 		return nil, "", false
 	}
 	if r.Disk != nil {
 		if e, ok := r.Disk.GetPhase(key, want); ok {
-			return e.Blobs, StatusDiskHit, true
+			return e, StatusDiskHit, true
 		}
+		r.countMiss(ph, false)
 	}
 	if r.Remote != nil {
 		if e, ok := r.Remote.GetPhase(key, want); ok {
-			// Read through: the next build of this machine should be a
+			// Read through: the next build of this key should be a
 			// local disk hit, not another network round trip.
 			if r.Disk != nil {
 				r.Disk.PutPhase(key, e)
 			}
-			return e.Blobs, StatusRemoteHit, true
+			return e, StatusRemoteHit, true
 		}
+		r.countMiss(ph, true)
 	}
 	return nil, "", false
 }
 
-// persist writes a freshly built snapshot to the persistent tiers
-// (best-effort: a full disk or dead remote never fails the build; the
-// remote client uploads asynchronously) and reports whether the disk
-// write succeeded.
-func (r *Runner) persist(ph Phase, key string, blobs map[string]string) bool {
+// persist writes a fresh entry to the persistent tiers (best-effort: a
+// full disk or dead remote never fails the build; the remote client
+// uploads asynchronously) and reports whether the disk write
+// succeeded.
+func (r *Runner) persist(key string, e *cache.PhaseEntry) bool {
 	persisted := false
 	if r.Disk != nil {
-		persisted = r.Disk.PutPhase(key, &cache.PhaseEntry{Phase: string(ph), Blobs: blobs}) == nil
+		persisted = r.Disk.PutPhase(key, e) == nil
 	}
 	if r.Remote != nil {
-		r.Remote.PutPhase(key, &cache.PhaseEntry{Phase: string(ph), Blobs: blobs})
+		r.Remote.PutPhase(key, e)
 	}
 	return persisted
 }
@@ -398,8 +445,8 @@ func (r *Runner) findingsPhase(ph Phase, key string, run func() []analyze.Findin
 	if e, ok := r.memGet(key); ok {
 		return slices.Clone(e.findings), StatusMemHit
 	}
-	if blobs, st, ok := r.fetch(key, []string{blobFindings}); ok {
-		if fs, err := analyze.Decode([]byte(blobs[blobFindings])); err == nil {
+	if e, st, ok := r.fetch(ph, key, []string{blobFindings}); ok {
+		if fs, err := analyze.Decode([]byte(e.Blobs[blobFindings])); err == nil {
 			r.memPut(key, memEntry{findings: slices.Clone(fs)}, true)
 			return fs, st
 		}
@@ -411,27 +458,165 @@ func (r *Runner) findingsPhase(ph Phase, key string, run func() []analyze.Findin
 	stored := false
 	if r.persistent(key) {
 		if enc, err := analyze.Encode(fs); err == nil {
-			stored = r.persist(ph, key, map[string]string{blobFindings: string(enc)})
+			stored = r.persist(key, &cache.PhaseEntry{Phase: string(ph), Blobs: map[string]string{blobFindings: string(enc)}})
 		}
 	}
 	r.memPut(key, memEntry{findings: slices.Clone(fs)}, stored)
 	return fs, StatusRebuilt
 }
 
-// Blob names within phase snapshots.
+// Blob names within phase snapshots. A root entry names each artifact
+// blob after its emit phase, plus rootStatsJSON.
 const (
-	blobEFSM     = "efsm"     // efsm / efsm-min: serialized machine
-	blobText     = "text"     // emit phases: rendered artifact
-	blobJSON     = "json"     // stats: machine-readable core.Stats
-	blobFindings = "findings" // analyze: serialized findings list
+	blobEFSM      = "efsm"                                  // efsm / efsm-min: serialized machine
+	blobText      = "text"                                  // emit phases: rendered artifact
+	blobJSON      = "json"                                  // stats: machine-readable core.Stats
+	blobFindings  = "findings"                              // analyze: serialized findings list
+	rootStatsJSON = string(PhaseEmitStats) + "." + blobJSON // design: the stats phase's json blob
 )
 
-// Run walks the graph for one request. The front end (parse, sem,
+// Run serves one request. Unless it analyzes (findings live in their
+// own phases) or the Runner caches nothing, the request is served
+// whole by its root entry when a tier holds the entry's key, and
+// otherwise walks the graph and stores the entry; identical concurrent
+// requests share one resolution, the first one's. A request without
+// emits needs the Design, which only a walk yields, so it uses the
+// root's memory tier alone. A walk that fails is remembered in memory
+// only, so identical requests get its errors without walking again.
+// Every other request walks.
+func (r *Runner) Run(req Request) *Result {
+	parseKey := KeyParse(req.Path, req.Source, req.Opts)
+	if r.NoCache || req.Analyze {
+		return r.walk(req, parseKey)
+	}
+	key := KeyDesign(parseKey, req.Module, req.Opts, req.Emits, req.GoPackage)
+	var res *Result
+	r.flight(key).Do(func() { res = r.root(key, parseKey, req) })
+	if res == nil {
+		// Another request resolved the key first: its entry, or its
+		// failure, is in the memory tier.
+		res = r.root(key, parseKey, req)
+	}
+	return res
+}
+
+// flight returns the once that gates a root key's first resolution.
+func (r *Runner) flight(key string) *sync.Once {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.flights == nil {
+		r.flights = make(map[string]*sync.Once)
+	}
+	f := r.flights[key]
+	if f == nil {
+		f = new(sync.Once)
+		r.flights[key] = f
+	}
+	return f
+}
+
+// root serves a request from its root entry's tiers — memory, then
+// disk and remote — or walks the graph and stores the entry. A walk
+// with a failed phase, and a request without emits (it has nothing to
+// store but the Design), store the entry in memory only; so a memory
+// entry for a key without emits always comes from a walk.
+func (r *Runner) root(key, parseKey string, req Request) *Result {
+	if e, ok := r.memGet(key); ok {
+		return r.rootHit(key, e, StatusMemHit)
+	}
+	if len(req.Emits) > 0 {
+		if pe, st, ok := r.fetch(PhaseDesign, key, rootBlobNames(req.Emits)); ok {
+			if e, ok := decodeRoot(pe, req.Emits); ok {
+				r.memPut(key, e, true)
+				return r.rootHit(key, e, st)
+			}
+		}
+	}
+	res := r.walk(req, parseKey)
+	e := memEntry{module: res.Module, artifacts: maps.Clone(res.Artifacts), stats: copyStats(res.Stats), design: res.Design, err: res.Err, errPhase: res.ErrPhase}
+	if len(res.EmitErrs) > 0 {
+		e.emitErrs = maps.Clone(res.EmitErrs)
+	}
+	stored := false
+	if e.err == nil && e.emitErrs == nil && len(req.Emits) > 0 && r.persistent(key) {
+		if blobs, ok := e.rootBlobs(); ok {
+			stored = r.persist(key, &cache.PhaseEntry{Phase: string(PhaseDesign), Module: e.module, Blobs: blobs})
+		}
+	}
+	r.memPut(key, e, stored)
+	return res
+}
+
+// rootHit is the result of a request served whole by its root entry.
+func (r *Runner) rootHit(key string, e memEntry, st Status) *Result {
+	r.count(PhaseDesign, st)
+	return &Result{
+		Root:      st,
+		Module:    e.module,
+		Design:    e.design,
+		Artifacts: maps.Clone(e.artifacts),
+		EmitErrs:  maps.Clone(e.emitErrs),
+		Stats:     e.statsCopy(),
+		Phases:    []PhaseResult{{Phase: PhaseDesign, Status: st, Key: key}},
+		Err:       e.err,
+		ErrPhase:  e.errPhase,
+	}
+}
+
+// rootBlobNames lists the blobs a root entry holds for the emits.
+func rootBlobNames(emits []Phase) []string {
+	names := make([]string, 0, len(emits)+1)
+	for _, ph := range emits {
+		names = append(names, string(ph))
+		if ph == PhaseEmitStats {
+			names = append(names, rootStatsJSON)
+		}
+	}
+	return names
+}
+
+// rootBlobs encodes a root entry's artifacts for the persistent tiers:
+// the texts and the stats JSON the emit phases store, so the entry
+// adds no blob of its own.
+func (e memEntry) rootBlobs() (map[string]string, bool) {
+	blobs := make(map[string]string, len(e.artifacts)+1)
+	for ph, text := range e.artifacts {
+		blobs[string(ph)] = text
+	}
+	if e.stats != nil {
+		js, err := json.Marshal(e.stats)
+		if err != nil {
+			return nil, false
+		}
+		blobs[rootStatsJSON] = string(js)
+	}
+	return blobs, true
+}
+
+// decodeRoot rebuilds a root entry's memory value from its persistent
+// form; an entry whose stats do not decode is a miss.
+func decodeRoot(pe *cache.PhaseEntry, emits []Phase) (memEntry, bool) {
+	e := memEntry{module: pe.Module, artifacts: make(map[Phase]string, len(emits))}
+	for _, ph := range emits {
+		e.artifacts[ph] = pe.Blobs[string(ph)]
+		if ph == PhaseEmitStats {
+			var stt core.Stats
+			if json.Unmarshal([]byte(pe.Blobs[rootStatsJSON]), &stt) != nil {
+				return memEntry{}, false
+			}
+			e.stats = &stt
+		}
+	}
+	return e, e.module != ""
+}
+
+// walk runs the graph for one request. The front end (parse, sem,
 // lower) always executes — its outputs are cheap and feed every key
 // downstream — while efsm, efsm-min, and the emit phases are served
 // from their snapshot tiers whenever their keys match.
-func (r *Runner) Run(req Request) *Result {
-	res := &Result{Artifacts: make(map[Phase]string), EmitErrs: make(map[Phase]error)}
+func (r *Runner) walk(req Request, parseKey string) *Result {
+	r.count(PhaseDesign, StatusRebuilt)
+	res := &Result{Root: StatusRebuilt, Artifacts: make(map[Phase]string), EmitErrs: make(map[Phase]error)}
 	record := func(ph Phase, key string, st Status) {
 		res.Phases = append(res.Phases, PhaseResult{Phase: ph, Status: st, Key: key})
 		r.count(ph, st)
@@ -451,7 +636,7 @@ func (r *Runner) Run(req Request) *Result {
 	// shared. Neither phase stores a snapshot (sem's tables are
 	// pointer-keyed, and no build reads a parsed file back); their keys
 	// anchor the chain.
-	u, built := r.unitFor(req)
+	u, built := r.unitFor(req, parseKey)
 	frontStatus := StatusShared
 	if built {
 		frontStatus = StatusRebuilt
@@ -591,11 +776,11 @@ func (r *Runner) emitPhase(ph Phase, key string, design *core.Design, goPkg stri
 	if ph == PhaseEmitStats {
 		want = append(want, blobJSON)
 	}
-	if blobs, st, ok := r.fetch(key, want); ok {
-		e := memEntry{text: blobs[blobText]}
+	if pe, st, ok := r.fetch(ph, key, want); ok {
+		e := memEntry{text: pe.Blobs[blobText]}
 		if ph == PhaseEmitStats {
 			var stt core.Stats
-			if json.Unmarshal([]byte(blobs[blobJSON]), &stt) == nil {
+			if json.Unmarshal([]byte(pe.Blobs[blobJSON]), &stt) == nil {
 				e.stats = &stt
 			}
 		}
@@ -621,19 +806,22 @@ func (r *Runner) emitPhase(ph Phase, key string, design *core.Design, goPkg stri
 				blobs[blobJSON] = string(js)
 			}
 		}
-		stored = r.persist(ph, key, blobs)
+		stored = r.persist(key, &cache.PhaseEntry{Phase: string(ph), Blobs: blobs})
 	}
 	r.memPut(key, e, stored)
 	return text, e.statsCopy(), StatusRebuilt, nil
 }
 
 // statsCopy returns a copy of the entry's stats, or nil.
-func (e memEntry) statsCopy() *core.Stats {
-	if e.stats == nil {
+func (e memEntry) statsCopy() *core.Stats { return copyStats(e.stats) }
+
+// copyStats returns a copy of st, or nil.
+func copyStats(st *core.Stats) *core.Stats {
+	if st == nil {
 		return nil
 	}
-	st := *e.stats
-	return &st
+	cp := *st
+	return &cp
 }
 
 // machinePhase serves one machine-producing phase (efsm or efsm-min)
@@ -647,8 +835,8 @@ func (r *Runner) machinePhase(ph Phase, key string, low *lower.Result, structFP 
 			return m, StatusMemHit, nil
 		}
 	}
-	if blobs, st, ok := r.fetch(key, []string{blobEFSM}); ok {
-		if m, err := DecodeMachine([]byte(blobs[blobEFSM]), low, structFP); err == nil {
+	if e, st, ok := r.fetch(ph, key, []string{blobEFSM}); ok {
+		if m, err := DecodeMachine([]byte(e.Blobs[blobEFSM]), low, structFP); err == nil {
 			r.memPut(key, memEntry{machine: m, low: low, structFP: structFP}, true)
 			return m, st, nil
 		}
@@ -660,7 +848,7 @@ func (r *Runner) machinePhase(ph Phase, key string, low *lower.Result, structFP 
 	stored := false
 	if r.persistent(key) && !r.alreadyStored(key) {
 		if enc, err := EncodeMachine(m, low, structFP); err == nil {
-			stored = r.persist(ph, key, map[string]string{blobEFSM: string(enc)})
+			stored = r.persist(key, &cache.PhaseEntry{Phase: string(ph), Blobs: map[string]string{blobEFSM: string(enc)}})
 		}
 	}
 	r.memPut(key, memEntry{machine: m, low: low, structFP: structFP}, stored)

@@ -49,9 +49,18 @@ func TestRunnerFirstDirtyPhaseResume(t *testing.T) {
 		}
 	}
 
-	// Unchanged source, new process: efsm and every emission replay
-	// from disk.
-	warm := open().Run(Request{Path: "inc.ecl", Source: dataEditSource(3), Emits: emits})
+	// Unchanged source, new process: the root entry serves the request
+	// whole, and the same module requested by name (another root key)
+	// walks, replaying efsm and every emission from disk.
+	whole := open().Run(Request{Path: "inc.ecl", Source: dataEditSource(3), Emits: emits})
+	if whole.Err != nil || whole.Root != StatusDiskHit || len(whole.Phases) != 1 || whole.Module != "incworker" {
+		t.Fatalf("unchanged rebuild = (%v, root %s, module %q, phases %+v), want one design disk hit",
+			whole.Err, whole.Root, whole.Module, whole.Phases)
+	}
+	if !maps.Equal(whole.Artifacts, cold.Artifacts) || whole.Stats == nil || *whole.Stats != *cold.Stats {
+		t.Error("root entry's artifacts or stats differ from the cold build's")
+	}
+	warm := open().Run(Request{Path: "inc.ecl", Source: dataEditSource(3), Module: "incworker", Emits: emits})
 	if warm.Err != nil {
 		t.Fatalf("warm: %v", warm.Err)
 	}

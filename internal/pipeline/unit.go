@@ -37,14 +37,14 @@ type unit struct {
 	fileStatus   Status
 }
 
-// unitFor returns the compilation unit for the request's file, building
-// it single-flight if this Runner has not seen the file yet. built
-// reports whether this call did the building, so the caller can record
-// the parse/sem phases as rebuilt vs shared. With NoShare set, a
-// private unit is built per call — the per-module-front-end baseline
-// the shared path is benchmarked against.
-func (r *Runner) unitFor(req Request) (u *unit, built bool) {
-	parseKey := KeyParse(req.Path, req.Source, req.Opts)
+// unitFor returns the compilation unit for the request's file (whose
+// parse key the caller computed), building it single-flight if this
+// Runner has not seen the file yet. built reports whether this call did
+// the building, so the caller can record the parse/sem phases as
+// rebuilt vs shared. With NoShare set, a private unit is built per
+// call — the per-module-front-end baseline the shared path is
+// benchmarked against.
+func (r *Runner) unitFor(req Request, parseKey string) (u *unit, built bool) {
 	if r.NoShare {
 		u = &unit{parseKey: parseKey}
 		u.once.Do(func() { r.buildUnit(u, req) })
@@ -75,7 +75,7 @@ func (r *Runner) unitFor(req Request) (u *unit, built bool) {
 // then count as shared). The returned Phase localizes a front-end
 // failure (PhaseParse or PhaseSem).
 func (r *Runner) Modules(req Request) ([]string, Phase, error) {
-	u, built := r.unitFor(req)
+	u, built := r.unitFor(req, KeyParse(req.Path, req.Source, req.Opts))
 	if built {
 		switch {
 		case u.err != nil && u.errPhase == PhaseParse:
