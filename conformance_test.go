@@ -528,3 +528,53 @@ func TestConformanceSwitchSemantics(t *testing.T) {
 		}
 	}
 }
+
+// failedInstantSrc divides by zero in one par branch while its sibling
+// has not run yet, then reads what the sibling would have assigned.
+const failedInstantSrc = `module f(input pure go, input pure show, output int out) {
+    int z;
+    int x;
+    z = 0;
+    x = 0;
+    par {
+        { while (1) { await (go); par { { x = 1 / z; } { x = 7; } } } }
+        { while (1) { await (show); emit_v (out, x); } }
+    }
+}
+`
+
+// TestConformanceFailedInstant steps a script through an instant that
+// fails with a division by zero on every conformant backend. Each
+// instant must fail on every backend, or none, and otherwise give the
+// same outputs: a failed instant leaves exactly what ran before the
+// failure, so the branch the failure cut off has not assigned x.
+func TestConformanceFailedInstant(t *testing.T) {
+	res := driver.New(0).BuildOne(driver.Request{Path: "f.ecl", Source: failedInstantSrc, Module: "f"})
+	if res.Failed() {
+		t.Fatalf("build: %v", res.Err)
+	}
+	script := []map[string]cval.Value{{}, {"go": {}}, {"show": {}}}
+	want := []string{"", "error: division by zero", "out=" + exec.EncodeValue(cval.FromInt(ctypes.Int, 0))}
+	for _, backend := range exec.ConformantBackends() {
+		m, err := exec.Open(backend, res.Design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range script {
+			r, err := m.Step(in)
+			var got string
+			if err != nil {
+				got = "error: " + err.Error()
+			} else {
+				outs := map[string]string{}
+				for name, v := range r.Outputs {
+					outs[name] = exec.EncodeValue(v)
+				}
+				got = exec.ObservationString(outs, r.Terminated)
+			}
+			if got != want[i] {
+				t.Errorf("%s instant %d: %q, want %q", backend, i, got, want[i])
+			}
+		}
+	}
+}

@@ -2,12 +2,15 @@ package driver
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
+	"repro/internal/eclgen"
 	"repro/internal/paperex"
 	"repro/internal/pipeline"
 )
@@ -235,5 +238,43 @@ func TestDiskCacheGoPackageKeying(t *testing.T) {
 	}
 	if wa.Artifacts[TargetGo] == wb.Artifacts[TargetGo] {
 		t.Error("distinct Go packages shared one cached artifact")
+	}
+}
+
+// TestBuildCancelKeepsServedResults cancels a one-worker Build while
+// it compiles the second of three requests. The first was served whole
+// by a disk root entry, so its Result carries no Design; it must still
+// come back as served, and only the request no worker took fails with
+// the context error.
+func TestBuildCancelKeepsServedResults(t *testing.T) {
+	dir := t.TempDir()
+	abro := Request{Path: "abro.ecl", Source: paperex.ABRO, Targets: []Target{TargetC}}
+	if res := diskDriver(t, dir).BuildOne(abro); res.Failed() {
+		t.Fatal(res.Err)
+	}
+	mega, err := ExpandModules(Request{Path: "mega.ecl", Source: eclgen.File(1, 300)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := diskDriver(t, dir)
+	d.Workers = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for ctx.Err() == nil && d.CacheStats().DiskHits < 1 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		cancel()
+	}()
+	res, err := d.Build(ctx, []Request{abro, mega[len(mega)-1], abro})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("Build error = %v, want the context error", err)
+	}
+	if res[0].Failed() || !res[0].DiskCached {
+		t.Errorf("first request: err=%v diskCached=%t, want served from disk", res[0].Err, res[0].DiskCached)
+	}
+	if !errors.Is(res[2].Err, context.Canceled) {
+		t.Errorf("third request: err=%v, want the context error", res[2].Err)
 	}
 }

@@ -263,9 +263,10 @@ func (d *Driver) CacheStats() CacheStats {
 // so a worker's stack, once grown by the deep pipeline frames, serves
 // every later request. Per-request failures are reported in the Results
 // (and joined into the returned error); a cancelled context marks the
-// remaining requests failed with the context error.
+// requests no worker took failed with the context error.
 func (d *Driver) Build(ctx context.Context, reqs []Request) ([]Result, error) {
 	results := make([]Result, len(reqs))
+	built := make([]bool, len(reqs))
 	workers := d.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -282,13 +283,14 @@ func (d *Driver) Build(ctx context.Context, reqs []Request) ([]Result, error) {
 					return
 				}
 				results[i] = d.buildOne(reqs[i])
+				built[i] = true
 			}
 		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		for i := range results {
-			if results[i].Err == nil && results[i].Design == nil {
+			if !built[i] {
 				results[i] = Result{Path: reqs[i].Path, Module: reqs[i].Module, Err: err}
 			}
 		}

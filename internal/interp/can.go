@@ -219,18 +219,43 @@ func (m *Machine) canResume(s kernel.Stmt) canInfo {
 	return m.canStart(s)
 }
 
-// foldChain adds the continuation chain's reachable emissions to can,
-// walking items in order and stopping at the first item that cannot
-// terminate within the instant.
-func (m *Machine) foldChain(k *cont, can map[*kernel.Signal]bool) map[*kernel.Signal]bool {
-	for c := k; c != nil; c = c.next {
-		for _, item := range c.items {
+// addCan adds to can, which must be non-nil, the signals a blocked or
+// joining thread could still emit this instant: a blocked test's
+// statement from the test on, either outcome; then, if that can
+// terminate, the rest of each enclosing sequence and each enclosing
+// loop's next iteration, which the thread's frames name innermost
+// first, up to the first statement that cannot terminate within the
+// instant.
+func (th *thread) addCan(can map[*kernel.Signal]bool) {
+	m := th.r.m
+	if th.state == thBlockedSig {
+		// A present tests only when it starts; an await, an abort or a
+		// suspend only when it resumes.
+		var local canInfo
+		if _, ok := th.blockedAt.(*kernel.Present); ok {
+			local = m.canStart(th.blockedAt)
+		} else {
+			local = m.canResume(th.blockedAt)
+		}
+		union(can, local.emits)
+		if !local.canTerm {
+			return
+		}
+	}
+	for _, f := range th.frames {
+		var rest []kernel.Stmt
+		switch s := f.s.(type) {
+		case *kernel.Seq:
+			rest = s.List[f.i+1:]
+		case *kernel.Loop:
+			rest = []kernel.Stmt{s}
+		}
+		for _, item := range rest {
 			ci := m.canStart(item)
-			can = union(can, ci.emits)
+			union(can, ci.emits)
 			if !ci.canTerm {
-				return can
+				return
 			}
 		}
 	}
-	return can
 }

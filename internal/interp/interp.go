@@ -6,12 +6,18 @@
 // absent (a conservative Can analysis). If that resolves nothing, the
 // reaction fails with a causality error.
 //
-// Each thread runs on a carrier goroutine taken from a bounded park of
-// idle carriers that outlive the reaction. A reaction's threads are
-// short-lived but recurse deeply, and EFSM synthesis runs every
-// reaction of every module: a goroutine per thread would regrow its
-// stack from the starting size each time, while a parked carrier keeps
-// the stack that earlier threads grew.
+// Every thread runs on the goroutine that calls React. A thread waits
+// at only two points, an undetermined test and a par's join, and it
+// waits by returning: each statement on its path that has done work a
+// second run must not repeat keeps a frame of its locals on the thread
+// (a sequence's index, a loop's iteration, a par's child threads, an
+// if's arm, a weak abort's running handler). The scheduler resumes the
+// thread by running its body again; each statement takes its frame
+// back and goes straight to the child it was in, and the others route
+// by the control state or test again, which gives the same answer,
+// since a signal's status does not change within an instant once it is
+// known. A failed reaction just returns, and a panic in a data action
+// reaches React's caller.
 //
 // The interpreter is used three ways: directly as the simulation
 // semantics, by the EFSM compiler (internal/compile) with symbolic
@@ -68,15 +74,6 @@ type Reaction struct {
 	Terminated bool
 }
 
-// EmittedSet returns the emitted signals as a set.
-func (r *Reaction) EmittedSet() map[*kernel.Signal]bool {
-	s := make(map[*kernel.Signal]bool, len(r.Emitted))
-	for _, sig := range r.Emitted {
-		s[sig] = true
-	}
-	return s
-}
-
 // CausalityError reports a reaction that could not be scheduled.
 type CausalityError struct {
 	Module  string
@@ -102,10 +99,6 @@ type Machine struct {
 	canStartMemo map[kernel.Stmt]canInfo
 	hasExit      map[kernel.Stmt]bool
 
-	// LoopLimit bounds same-instant loop iterations (instantaneous
-	// loop detection); zero means the default.
-	LoopLimit int
-
 	// InputHook, when set, decides the presence of an input signal the
 	// first time a reaction tests it, instead of presetting all inputs
 	// from React's argument. The EFSM compiler uses it to explore input
@@ -113,11 +106,9 @@ type Machine struct {
 	InputHook func(*kernel.Signal) Status
 }
 
-// debugCan enables quiescence-failure dumps (tests only).
-var debugCan = false
-
-// defaultLoopLimit bounds same-instant loop restarts.
-const defaultLoopLimit = 4096
+// loopLimit bounds a loop's restarts within one instant
+// (instantaneous loop detection).
+const loopLimit = 4096
 
 // NewMachine builds a machine with concrete data execution.
 func NewMachine(mod *kernel.Module, info *sem.Info) *Machine {
@@ -249,26 +240,6 @@ func cloneValues[K comparable](src map[K]cval.Value) map[K]cval.Value {
 	return out
 }
 
-// SetVar overwrites a variable (testing hook).
-func (m *Machine) SetVar(name string, v cval.Value) error {
-	for kv := range m.vars {
-		if kv.Name == name {
-			return m.vars[kv].Assign(v)
-		}
-	}
-	return fmt.Errorf("no variable %q", name)
-}
-
-// VarByName returns a variable's current value (testing hook).
-func (m *Machine) VarByName(name string) (cval.Value, bool) {
-	for kv, v := range m.vars {
-		if kv.Name == name {
-			return v, true
-		}
-	}
-	return cval.Value{}, false
-}
-
 // concreteHooks executes data actions against the machine stores.
 type concreteHooks struct{ m *Machine }
 
@@ -337,9 +308,8 @@ func (m *Machine) React(in Inputs) (*Reaction, error) {
 	if m.started {
 		mode = modeResume
 	}
-	root := r.newThread(nil)
-	comp, err := r.run(root, m.Mod.Body, mode)
-	if err != nil {
+	root := r.newThread(m.Mod.Body, mode)
+	if err := r.schedule(); err != nil {
 		return nil, err
 	}
 
@@ -356,7 +326,7 @@ func (m *Machine) React(in Inputs) (*Reaction, error) {
 			}
 		}
 	}
-	if comp.kind == compTerminated || comp.kind == compExited {
+	if root.comp.kind == compTerminated || root.comp.kind == compExited {
 		m.done = true
 		out.Terminated = true
 	}
@@ -372,6 +342,9 @@ const (
 	compTerminated compKind = iota
 	compPaused
 	compExited
+	// compBlocked: the thread waits on an undetermined test or on a
+	// par's join, and its path has kept the frames to resume by.
+	compBlocked
 )
 
 type completion struct {
@@ -379,48 +352,40 @@ type completion struct {
 	trap *kernel.Trap
 }
 
-// cont is the within-instant continuation chain used only for the
-// conservative Can analysis: what code could still run after the
-// current point in this thread.
-type cont struct {
-	items []kernel.Stmt
-	next  *cont
-}
-
-type killedPanic struct{}
-
 type threadState int
 
 const (
 	thReady threadState = iota
-	thRunning
 	thBlockedSig
 	thWaitJoin
 	thDone
 )
 
 type thread struct {
-	id     int
-	r      *reaction
-	parent *thread
-
-	resume chan struct{}
-	yield  chan struct{}
-
+	r     *reaction
 	state threadState
-	// when blockedSig:
+	body  kernel.Stmt
+	mode  runMode
+	// when blockedSig: the test and the statement that makes it.
+	blockedAt   kernel.Stmt
 	blockedExpr kernel.SigExpr
-	blockedCan  map[*kernel.Signal]bool
-	// when waitJoin:
-	joinPending int
-	joinCan     map[*kernel.Signal]bool
+	// frames is what the statements on a blocked thread's path keep,
+	// innermost first. A waitJoin thread's frames[0] is the par's.
+	frames []frame
 	// result when done:
 	comp completion
-	err  error
+}
 
-	body kernel.Stmt
-	mode runMode
-	k    *cont
+// frame holds the locals of a statement that has done work this
+// instant that a second run must not repeat: a Seq's child index, a
+// Loop's iteration, an IfData's arm (1 then, 2 else), a par's branch
+// statuses and child threads, or, with no locals, a weak abort whose
+// handler runs after the body's final instant.
+type frame struct {
+	s        kernel.Stmt
+	i        int
+	statuses []int
+	children []*thread
 }
 
 type runMode int
@@ -435,123 +400,40 @@ type reaction struct {
 	status  map[*kernel.Signal]Status
 	emitted []*kernel.Signal
 	next    *State
-
 	threads []*thread
-	killing bool
-	failure error
 }
 
-func (r *reaction) newThread(parent *thread) *thread {
-	th := &thread{
-		id:     len(r.threads),
-		r:      r,
-		parent: parent,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-		state:  thReady,
-	}
+func (r *reaction) newThread(body kernel.Stmt, mode runMode) *thread {
+	th := &thread{r: r, body: body, mode: mode}
 	r.threads = append(r.threads, th)
 	return th
 }
 
-// run executes the root statement in the root thread and drives the
-// scheduler until the instant completes.
-func (r *reaction) run(root *thread, body kernel.Stmt, mode runMode) (completion, error) {
-	root.body = body
-	root.mode = mode
-	root.launch()
-	if err := r.schedule(); err != nil {
-		return completion{}, err
+// step runs the thread until it finishes or blocks. A blocked thread
+// resumes by running its body again: each statement on its path takes
+// back its frame and goes straight to the child it was in.
+func (th *thread) step() error {
+	comp, err := th.exec(th.body, th.mode)
+	if err != nil || comp.kind == compBlocked {
+		return err
 	}
-	return root.comp, root.err
+	if len(th.frames) > 0 {
+		return fmt.Errorf("internal: thread finished with %d frames left", len(th.frames))
+	}
+	th.comp, th.state = comp, thDone
+	return nil
 }
 
-// parkSize bounds the idle carriers kept for reuse. A reaction holds
-// one carrier per live thread until it ends, so the park only has to
-// cover the threads of the reactions running at once. The designs at
-// hand fork at most 7 threads in one reaction (eclgen's 1000-module
-// files; 6 in the paper's stack), so 64 covers that on nine workers
-// at once. A carrier that finds the park full exits rather than pin
-// its stack for good.
-const parkSize = 64
-
-// parked holds idle carriers, each as the channel it takes its next
-// thread from. Like a sync.Pool it is shared by every machine in the
-// process, so a stack grown by one machine's reactions serves the next
-// machine's.
-var parked = make(chan chan *thread, parkSize)
-
-// launch hands the thread to a parked carrier goroutine, starting a new
-// carrier only when none is parked; the thread runs until its first
-// yield. Carriers outlive reactions so that each thread runs on a stack
-// that earlier threads already grew, instead of growing a fresh one.
-func (th *thread) launch() {
-	select {
-	case c := <-parked:
-		c <- th
-	default:
-		go carry(make(chan *thread), th)
+// popFrame takes s's frame off the thread, if s kept one when the
+// thread last blocked.
+func (th *thread) popFrame(s kernel.Stmt) (frame, bool) {
+	n := len(th.frames) - 1
+	if n < 0 || th.frames[n].s != s {
+		return frame{}, false
 	}
-}
-
-// carry runs threads on one goroutine: the given one, then each thread
-// handed to it on c while it is parked. It parks before signalling a
-// thread's end, so the next launch finds it, and touches nothing of the
-// thread after that signal.
-func carry(c chan *thread, th *thread) {
-	for {
-		th.run()
-		var ok bool
-		select {
-		case parked <- c:
-			ok = true
-		default:
-		}
-		close(th.yield)
-		if !ok {
-			return
-		}
-		th = <-c
-	}
-}
-
-// run executes the thread's body to completion, or until the reaction
-// kills it, and records the result; the carrier then signals the end.
-// A panic other than the kill propagates.
-func (th *thread) run() {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(killedPanic); !ok {
-				panic(p)
-			}
-			th.comp = completion{kind: compTerminated}
-		}
-		th.state = thDone
-	}()
-	<-th.resume
-	comp, err := th.exec(th.body, th.mode, th.k)
-	th.comp = comp
-	th.err = err
-	if err != nil && th.r.failure == nil {
-		th.r.failure = err
-	}
-}
-
-// step gives the thread the baton and waits for it to yield or finish.
-func (th *thread) stepOnce() {
-	th.state = thRunning
-	th.resume <- struct{}{}
-	<-th.yield
-}
-
-// yieldToScheduler parks the thread (already marked blocked/waiting)
-// and waits to be resumed. Panics with killedPanic during shutdown.
-func (th *thread) yieldToScheduler() {
-	th.yield <- struct{}{}
-	<-th.resume
-	if th.r.killing {
-		panic(killedPanic{})
-	}
+	f := th.frames[n]
+	th.frames = th.frames[:n]
+	return f, true
 }
 
 // schedule runs ready threads until all are done, resolving blocked
@@ -563,11 +445,7 @@ func (r *reaction) schedule() error {
 		if steps > 10_000_000 {
 			return fmt.Errorf("scheduler exceeded step budget (diverging reaction)")
 		}
-		if r.failure != nil {
-			r.shutdown()
-			return r.failure
-		}
-		// Find a ready thread (deterministic: lowest id first).
+		// Find a ready thread (deterministic: lowest index first).
 		var ready *thread
 		for _, th := range r.threads {
 			if th.state == thReady {
@@ -576,10 +454,9 @@ func (r *reaction) schedule() error {
 			}
 		}
 		if ready != nil {
-			if ready.yield == nil {
-				return fmt.Errorf("internal: ready thread without goroutine")
+			if err := ready.step(); err != nil {
+				return err
 			}
-			ready.stepOnce()
 			// Check for completed joins after every step.
 			r.completeJoins()
 			continue
@@ -593,7 +470,7 @@ func (r *reaction) schedule() error {
 			}
 		}
 		if allDone {
-			return r.failure
+			return nil
 		}
 		// Quiescent: first wake any thread whose test has been decided
 		// by an emission that happened after it blocked.
@@ -609,31 +486,6 @@ func (r *reaction) schedule() error {
 		}
 		// Then apply the Can rule.
 		if !r.resolveAbsent() {
-			if debugCan {
-				fmt.Println("=== quiescence failure ===")
-				for _, th := range r.threads {
-					switch th.state {
-					case thBlockedSig:
-						var names []string
-						for s := range th.blockedCan {
-							names = append(names, s.Name)
-						}
-						var sts []string
-						for _, sg := range th.blockedExpr.Signals(nil) {
-							sts = append(sts, fmt.Sprintf("%s:%d(class=%v)", sg.Name, r.statusOf(sg), sg.Class))
-						}
-						fmt.Printf("thread %d blocked on %s, can=%v, status=%v\n", th.id, th.blockedExpr, names, sts)
-					case thWaitJoin:
-						var names []string
-						for s := range th.joinCan {
-							names = append(names, s.Name)
-						}
-						fmt.Printf("thread %d waitjoin, can=%v\n", th.id, names)
-					case thDone:
-						fmt.Printf("thread %d done\n", th.id)
-					}
-				}
-			}
 			var blocked []string
 			for _, th := range r.threads {
 				if th.state == thBlockedSig {
@@ -641,7 +493,6 @@ func (r *reaction) schedule() error {
 				}
 			}
 			sort.Strings(blocked)
-			r.shutdown()
 			return &CausalityError{Module: r.m.Mod.Name, Blocked: blocked}
 		}
 		// Wake all signal-blocked threads to retry their tests.
@@ -653,21 +504,20 @@ func (r *reaction) schedule() error {
 	}
 }
 
-// completeJoins resumes parents whose children have all finished.
+// completeJoins readies the threads whose par branches have all
+// finished.
 func (r *reaction) completeJoins() {
+joins:
 	for _, th := range r.threads {
 		if th.state != thWaitJoin {
 			continue
 		}
-		pending := 0
-		for _, c := range r.threads {
-			if c.parent == th && c.state != thDone {
-				pending++
+		for _, c := range th.frames[0].children {
+			if c != nil && c.state != thDone {
+				continue joins
 			}
 		}
-		if pending == 0 {
-			th.state = thReady
-		}
+		th.state = thReady
 	}
 }
 
@@ -676,15 +526,8 @@ func (r *reaction) completeJoins() {
 func (r *reaction) resolveAbsent() bool {
 	potential := make(map[*kernel.Signal]bool)
 	for _, th := range r.threads {
-		switch th.state {
-		case thBlockedSig:
-			for s := range th.blockedCan {
-				potential[s] = true
-			}
-		case thWaitJoin:
-			for s := range th.joinCan {
-				potential[s] = true
-			}
+		if th.state == thBlockedSig || th.state == thWaitJoin {
+			th.addCan(potential)
 		}
 	}
 	changed := false
@@ -701,28 +544,6 @@ func (r *reaction) resolveAbsent() bool {
 		}
 	}
 	return changed
-}
-
-// shutdown kills every live thread, so every carrier is freed.
-func (r *reaction) shutdown() {
-	r.killing = true
-	for progress := true; progress; {
-		progress = false
-		for _, th := range r.threads {
-			switch th.state {
-			case thReady, thBlockedSig, thWaitJoin:
-				th.stepOnce()
-				progress = true
-			}
-		}
-		r.completeJoins()
-		// completeJoins may have made parents ready again; loop.
-		for _, th := range r.threads {
-			if th.state == thReady {
-				progress = true
-			}
-		}
-	}
 }
 
 func (r *reaction) statusOf(sig *kernel.Signal) Status {
@@ -781,34 +602,18 @@ func (r *reaction) evalSig(e kernel.SigExpr) Status {
 // ---------------------------------------------------------------------------
 // Thread execution
 
-// testSig evaluates a presence formula, blocking while it is
-// undetermined. localCan describes what the thread could emit from the
-// test point onward (both outcomes), so the Can analysis can decide
-// which undetermined signals are truly unemittable.
-func (th *thread) testSig(e kernel.SigExpr, localCan canInfo, k *cont) bool {
-	for {
-		switch th.r.evalSig(e) {
-		case Present:
-			return true
-		case Absent:
-			return false
-		}
-		// Blocked: register what we could still emit, then yield.
-		can := union(nil, localCan.emits)
-		if localCan.canTerm {
-			can = th.r.m.foldChain(k, can)
-		}
-		if can == nil {
-			can = map[*kernel.Signal]bool{}
-		}
-		th.blockedExpr = e
-		th.blockedCan = can
-		th.state = thBlockedSig
-		th.yieldToScheduler()
+// testSig evaluates e, the presence formula s tests. While e is
+// undetermined the thread blocks on it: testSig returns Unknown and the
+// caller returns compBlocked.
+func (th *thread) testSig(s kernel.Stmt, e kernel.SigExpr) Status {
+	st := th.r.evalSig(e)
+	if st == Unknown {
+		th.state, th.blockedAt, th.blockedExpr = thBlockedSig, s, e
 	}
+	return st
 }
 
-func (th *thread) exec(s kernel.Stmt, mode runMode, k *cont) (completion, error) {
+func (th *thread) exec(s kernel.Stmt, mode runMode) (completion, error) {
 	r := th.r
 	cur := r.m.state
 	switch s := s.(type) {
@@ -828,8 +633,11 @@ func (th *thread) exec(s kernel.Stmt, mode runMode, k *cont) (completion, error)
 
 	case *kernel.Await:
 		if mode == modeResume && cur.get(s.ID()) != nil {
-			if th.testSig(s.Sig, canInfo{canTerm: true}, k) {
+			switch th.testSig(s, s.Sig) {
+			case Present:
 				return completion{kind: compTerminated}, nil
+			case Unknown:
+				return completion{kind: compBlocked}, nil
 			}
 		}
 		r.next.set(s.ID(), 1)
@@ -869,17 +677,23 @@ func (th *thread) exec(s kernel.Stmt, mode runMode, k *cont) (completion, error)
 			}
 			start = ent[0]
 		}
-		for i := start; i < len(s.List); i++ {
+		i := start
+		if f, ok := th.popFrame(s); ok {
+			i = f.i
+		}
+		for ; i < len(s.List); i++ {
 			childMode := modeStart
 			if mode == modeResume && i == start {
 				childMode = modeResume
 			}
-			kk := &cont{items: s.List[i+1:], next: k}
-			comp, err := th.exec(s.List[i], childMode, kk)
+			comp, err := th.exec(s.List[i], childMode)
 			if err != nil {
 				return completion{}, err
 			}
 			switch comp.kind {
+			case compBlocked:
+				th.frames = append(th.frames, frame{s: s, i: i})
+				return comp, nil
 			case compPaused:
 				r.next.set(s.ID(), i)
 				return comp, nil
@@ -890,180 +704,133 @@ func (th *thread) exec(s kernel.Stmt, mode runMode, k *cont) (completion, error)
 		return completion{kind: compTerminated}, nil
 
 	case *kernel.Loop:
-		limit := r.m.LoopLimit
-		if limit == 0 {
-			limit = defaultLoopLimit
+		iter := 0
+		if f, ok := th.popFrame(s); ok {
+			iter = f.i
 		}
-		childMode := mode
-		for iter := 0; ; iter++ {
-			if iter > limit {
+		for ; ; iter++ {
+			if iter > loopLimit {
 				return completion{}, fmt.Errorf("instantaneous loop detected (node %d)", s.ID())
 			}
-			kk := &cont{items: []kernel.Stmt{s}, next: k}
-			comp, err := th.exec(s.Body, childMode, kk)
+			childMode := modeStart // loop back
+			if iter == 0 {
+				childMode = mode
+			}
+			comp, err := th.exec(s.Body, childMode)
 			if err != nil {
 				return completion{}, err
 			}
 			switch comp.kind {
+			case compBlocked:
+				th.frames = append(th.frames, frame{s: s, i: iter})
+				return comp, nil
 			case compPaused, compExited:
 				return comp, nil
 			}
-			childMode = modeStart // loop back
 		}
 
 	case *kernel.Par:
-		statuses := make([]int, len(s.Branches))
-		if mode == modeResume {
-			ent := cur.get(s.ID())
-			if ent == nil {
-				return completion{kind: compTerminated}, nil
+		f, resumed := th.popFrame(s)
+		if !resumed {
+			f = frame{s: s, statuses: make([]int, len(s.Branches))}
+			if mode == modeResume {
+				ent := cur.get(s.ID())
+				if ent == nil {
+					return completion{kind: compTerminated}, nil
+				}
+				copy(f.statuses, ent)
+			} else {
+				for i := range f.statuses {
+					f.statuses[i] = 1 // running
+				}
 			}
-			copy(statuses, ent)
-		} else {
-			for i := range statuses {
-				statuses[i] = 1 // running
+			// Spawn a thread per running branch and wait for them all.
+			f.children = make([]*thread, len(s.Branches))
+			waiting := false
+			for i, b := range s.Branches {
+				if f.statuses[i] == 1 {
+					f.children[i] = r.newThread(b, mode)
+					waiting = true
+				}
 			}
-		}
-		// Spawn a thread per running branch.
-		children := make([]*thread, len(s.Branches))
-		for i, b := range s.Branches {
-			if statuses[i] != 1 {
-				continue
+			if waiting {
+				th.state = thWaitJoin
+				th.frames = append(th.frames, f)
+				return completion{kind: compBlocked}, nil
 			}
-			ct := r.newThread(th)
-			ct.body = b
-			ct.mode = mode
-			ct.k = nil
-			children[i] = ct
-			ct.launch()
-		}
-		// Wait for all children: register our continuation for Can.
-		joinCan := r.m.foldChain(k, nil)
-		if joinCan == nil {
-			joinCan = map[*kernel.Signal]bool{}
-		}
-		th.joinCan = joinCan
-		anyChild := false
-		for _, c := range children {
-			if c != nil {
-				anyChild = true
-			}
-		}
-		if anyChild {
-			th.state = thWaitJoin
-			th.yieldToScheduler()
 		}
 		// Collect completions.
-		var exitComp *completion
+		var exit *kernel.Trap
 		anyPaused := false
-		for i, c := range children {
+		for i, c := range f.children {
 			if c == nil {
 				continue
 			}
-			if c.err != nil {
-				return completion{}, c.err
-			}
 			switch c.comp.kind {
 			case compTerminated:
-				statuses[i] = 2
+				f.statuses[i] = 2
 			case compPaused:
 				anyPaused = true
 			case compExited:
 				// The outermost targeted trap (smallest preorder ID) wins.
-				if exitComp == nil || c.comp.trap.ID() < exitComp.trap.ID() {
-					cc := c.comp
-					exitComp = &cc
+				if exit == nil || c.comp.trap.ID() < exit.ID() {
+					exit = c.comp.trap
 				}
 			}
 		}
-		if exitComp != nil {
+		if exit != nil {
 			r.next.clearSubtree(s)
-			return *exitComp, nil
+			return completion{kind: compExited, trap: exit}, nil
 		}
 		if !anyPaused {
 			r.next.clear(s.ID())
 			return completion{kind: compTerminated}, nil
 		}
-		r.next.set(s.ID(), statuses...)
+		r.next.set(s.ID(), f.statuses...)
 		return completion{kind: compPaused}, nil
 
 	case *kernel.Present:
 		if mode == modeResume {
-			ent := cur.get(s.ID())
-			if ent == nil {
-				return completion{kind: compTerminated}, nil
-			}
-			arm := s.Then
-			if ent[0] == 2 {
-				arm = s.Else
-			}
-			comp, err := th.exec(arm, modeResume, k)
-			if err != nil {
-				return completion{}, err
-			}
-			if comp.kind == compPaused {
-				r.next.set(s.ID(), ent[0])
-			}
-			return comp, nil
+			return th.resumeArm(s, s.Then, s.Else)
 		}
-		taken := th.testSig(s.Sig, r.m.canStart(s), k)
-		arm, armIdx := s.Then, 1
-		if !taken {
-			arm, armIdx = s.Else, 2
+		switch th.testSig(s, s.Sig) {
+		case Present:
+			return th.execPart(s, s.Then, modeStart, 1)
+		case Absent:
+			return th.execPart(s, s.Else, modeStart, 2)
 		}
-		if arm == nil {
-			return completion{kind: compTerminated}, nil
-		}
-		comp, err := th.exec(arm, modeStart, k)
-		if err != nil {
-			return completion{}, err
-		}
-		if comp.kind == compPaused {
-			r.next.set(s.ID(), armIdx)
-		}
-		return comp, nil
+		return completion{kind: compBlocked}, nil
 
 	case *kernel.IfData:
 		if mode == modeResume {
-			ent := cur.get(s.ID())
-			if ent == nil {
-				return completion{kind: compTerminated}, nil
-			}
-			arm := s.Then
-			if ent[0] == 2 {
-				arm = s.Else
-			}
-			comp, err := th.exec(arm, modeResume, k)
+			return th.resumeArm(s, s.Then, s.Else)
+		}
+		// The arm taken is kept: synthesis decides EvalCond, and a
+		// second call would decide again.
+		arm := 1
+		if f, ok := th.popFrame(s); ok {
+			arm = f.i
+		} else {
+			val, err := r.m.hooks.EvalCond(s.Cond)
 			if err != nil {
 				return completion{}, err
 			}
-			if comp.kind == compPaused {
-				r.next.set(s.ID(), ent[0])
+			if !val {
+				arm = 2
 			}
-			return comp, nil
 		}
-		val, err := r.m.hooks.EvalCond(s.Cond)
-		if err != nil {
-			return completion{}, err
+		part := s.Then
+		if arm == 2 {
+			part = s.Else
 		}
-		arm, armIdx := s.Then, 1
-		if !val {
-			arm, armIdx = s.Else, 2
+		comp, err := th.execPart(s, part, modeStart, arm)
+		if comp.kind == compBlocked {
+			th.frames = append(th.frames, frame{s: s, i: arm})
 		}
-		if arm == nil {
-			return completion{kind: compTerminated}, nil
-		}
-		comp, err := th.exec(arm, modeStart, k)
-		if err != nil {
-			return completion{}, err
-		}
-		if comp.kind == compPaused {
-			r.next.set(s.ID(), armIdx)
-		}
-		return comp, nil
+		return comp, err
 
 	case *kernel.Trap:
-		comp, err := th.exec(s.Body, mode, k)
+		comp, err := th.exec(s.Body, mode)
 		if err != nil {
 			return completion{}, err
 		}
@@ -1077,18 +844,21 @@ func (th *thread) exec(s kernel.Stmt, mode runMode, k *cont) (completion, error)
 		return completion{kind: compExited, trap: s.Target}, nil
 
 	case *kernel.Abort:
-		return th.execAbort(s, mode, k)
+		return th.execAbort(s, mode)
 
 	case *kernel.Suspend:
-		if mode == modeResume && cur.hasActiveWithin(s.Body) {
-			if th.testSig(s.Sig, r.m.canResume(s), k) {
-				// Frozen: carry the body's control state over unchanged.
-				r.next.copySubtree(cur, s.Body)
-				return completion{kind: compPaused}, nil
-			}
-			return th.exec(s.Body, modeResume, k)
+		if mode == modeStart || !cur.hasActiveWithin(s.Body) {
+			return th.exec(s.Body, modeStart)
 		}
-		return th.exec(s.Body, modeStart, k)
+		switch th.testSig(s, s.Sig) {
+		case Present:
+			// Frozen: carry the body's control state over unchanged.
+			r.next.copySubtree(cur, s.Body)
+			return completion{kind: compPaused}, nil
+		case Unknown:
+			return completion{kind: compBlocked}, nil
+		}
+		return th.exec(s.Body, modeResume)
 
 	case *kernel.Local:
 		// A fresh scope each start; statuses are per-instant anyway.
@@ -1096,79 +866,80 @@ func (th *thread) exec(s kernel.Stmt, mode runMode, k *cont) (completion, error)
 		if mode == modeResume && cur.hasActiveWithin(s.Body) {
 			childMode = modeResume
 		}
-		return th.exec(s.Body, childMode, k)
+		return th.exec(s.Body, childMode)
 	}
 	return completion{}, fmt.Errorf("internal: cannot execute %T", s)
 }
 
-func (th *thread) execAbort(s *kernel.Abort, mode runMode, k *cont) (completion, error) {
-	r := th.r
-	cur := r.m.state
-	if mode == modeResume {
-		ent := cur.get(s.ID())
-		if ent == nil {
-			return completion{kind: compTerminated}, nil
-		}
-		if ent[0] == 2 {
-			// Resuming inside the handler.
-			comp, err := th.exec(s.Handler, modeResume, k)
-			if err != nil {
-				return completion{}, err
-			}
-			if comp.kind == compPaused {
-				r.next.set(s.ID(), 2)
-			}
-			return comp, nil
-		}
-		// Resuming inside the body: test the trigger first (delayed).
-		trig := th.testSig(s.Sig, r.m.canResume(s), k)
-		if trig && !s.Weak {
-			// Strong abort: the body does not run this instant.
-			return th.runHandler(s, k)
-		}
-		comp, err := th.exec(s.Body, modeResume, k)
-		if err != nil {
-			return completion{}, err
-		}
-		if trig && s.Weak {
-			// Weak abort: the body ran its final instant. Normal
-			// termination wins over the abort.
-			switch comp.kind {
-			case compTerminated, compExited:
-				return comp, nil
-			}
-			r.next.clearSubtree(s.Body)
-			return th.runHandler(s, k)
-		}
-		if comp.kind == compPaused {
-			r.next.set(s.ID(), 1)
-		}
-		return comp, nil
-	}
-	// Start: no trigger test in the first instant.
-	comp, err := th.exec(s.Body, modeStart, k)
-	if err != nil {
-		return completion{}, err
-	}
-	if comp.kind == compPaused {
-		r.next.set(s.ID(), 1)
-	}
-	return comp, nil
-}
-
-func (th *thread) runHandler(s *kernel.Abort, k *cont) (completion, error) {
-	if s.Handler == nil {
+// execPart runs part, a child of s, and records v as s's entry in the
+// next state if part pauses. A missing part terminates.
+func (th *thread) execPart(s, part kernel.Stmt, mode runMode, v int) (completion, error) {
+	if part == nil {
 		return completion{kind: compTerminated}, nil
 	}
-	comp, err := th.exec(s.Handler, modeStart, k)
-	if err != nil {
-		return completion{}, err
+	comp, err := th.exec(part, mode)
+	if err == nil && comp.kind == compPaused {
+		th.r.next.set(s.ID(), v)
 	}
-	if comp.kind == compPaused {
-		th.r.next.set(s.ID(), 2)
-	}
-	return comp, nil
+	return comp, err
 }
 
-// DebugCan toggles quiescence-failure dumps (testing aid).
-func DebugCan(on bool) { debugCan = on }
+// resumeArm resumes the arm of a present or an if that holds control.
+func (th *thread) resumeArm(s, then, els kernel.Stmt) (completion, error) {
+	ent := th.r.m.state.get(s.ID())
+	if ent == nil {
+		return completion{kind: compTerminated}, nil
+	}
+	if ent[0] == 2 {
+		then = els
+	}
+	return th.execPart(s, then, modeResume, ent[0])
+}
+
+func (th *thread) execAbort(s *kernel.Abort, mode runMode) (completion, error) {
+	if mode == modeStart {
+		// No trigger test in the first instant.
+		return th.execPart(s, s.Body, modeStart, 1)
+	}
+	ent := th.r.m.state.get(s.ID())
+	if ent == nil {
+		return completion{kind: compTerminated}, nil
+	}
+	if ent[0] == 2 {
+		// Resuming inside the handler.
+		return th.execPart(s, s.Handler, modeResume, 2)
+	}
+	if _, ok := th.popFrame(s); ok {
+		return th.weakHandler(s)
+	}
+	// Resuming inside the body: test the trigger first (delayed).
+	switch th.testSig(s, s.Sig) {
+	case Unknown:
+		return completion{kind: compBlocked}, nil
+	case Absent:
+		return th.execPart(s, s.Body, modeResume, 1)
+	}
+	if !s.Weak {
+		// Strong abort: the body does not run this instant.
+		return th.execPart(s, s.Handler, modeStart, 2)
+	}
+	// Weak abort: the body runs its final instant. Normal termination
+	// wins over the abort.
+	comp, err := th.exec(s.Body, modeResume)
+	if err != nil || comp.kind != compPaused {
+		return comp, err
+	}
+	th.r.next.clearSubtree(s.Body)
+	return th.weakHandler(s)
+}
+
+// weakHandler starts a weak abort's handler once the body has run its
+// final instant. If the handler blocks, the abort keeps a frame, so
+// that resuming does not run the body again.
+func (th *thread) weakHandler(s *kernel.Abort) (completion, error) {
+	comp, err := th.execPart(s, s.Handler, modeStart, 2)
+	if comp.kind == compBlocked {
+		th.frames = append(th.frames, frame{s: s})
+	}
+	return comp, err
+}
